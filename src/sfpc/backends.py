@@ -1,10 +1,12 @@
 """Normalization backends: exact enumeration, deterministic quadrature,
-and Monte Carlo.
+and Monte Carlo, all on the big-step evaluator of direct.py. The machine
+is the paper's operational semantics; `machine_nu_*` hand its nested
+normalization sites (in `sfpc run`) to these backends.
 
-Exact: enumerate the program's (weight, value) outcomes with the machine
-and normalize; available whenever every reachable sample site has
-countable support. Never reports infinite evidence (finite sums are
-finite); its zero-evidence verdict is definitive.
+Exact: enumerate the program's (weight, value) outcomes with the
+enumeration walk, merge them into the canonical outcome table, and
+normalize; available whenever every reachable sample site has countable
+support. Its zero-evidence verdict is definitive.
 
 Quadrature (see quad.py): continuous sites become truncated equal-mass
 grids with adaptive cell refinement; evidence divergence across
@@ -14,10 +16,11 @@ Monte Carlo: average the weights of independent traces. Evidence is the
 mean weight with a reported standard error; the posterior is the weighted
 empirical ensemble of results. All weights zero reports zero evidence
 (best effort, flagged by construction since sampling cannot prove a zero
-integral); infinite evidence is never claimed. Nested normalization
-recurses into the same backend with a seed derived from the normalization
-site, making the result a deterministic function of (program, seed,
-trials) and letting sites reached many times be normalized once.
+integral); a non-finite mean weight reports infinite evidence. Nested
+normalization recurses into the same backend with a seed derived from the
+normalization site, making the result a deterministic function of
+(program, seed, trials) and letting sites reached many times be
+normalized once.
 
 Trace streams are chunked with a fixed chunk size and a per-chunk derived
 generator, so results are identical no matter how chunks are scheduled.
@@ -31,26 +34,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .direct import DirectEvaluator, norm_site_key
+from .direct import DirectEvaluator, Enumeration, norm_site_key
 from .dist import Empirical
-from .errors import NormDepthExceeded
-from .machine import Config, Machine, env_lookup
-from .measures import NormResult, Success, ZeroEvidence
+from .errors import HigherOrderUnsupported, NormDepthExceeded
+from .machine import Config, Machine
+from .measures import (
+    InfiniteEvidence,
+    NormResult,
+    Success,
+    WeightedMeasure,
+    ZeroEvidence,
+    canonical,
+    iota,
+)
 from .prims import DEFAULT_REGISTRY, PrimRegistry
 from .printer import pretty
 from .quad import QuadConfig, normalize_quadrature, quad_normalizer
 from .rng import substream
-from .syntax import Norm, free_vars
-from .typecheck import CheckedProgram, check_program
+from .syntax import Norm, is_measurable
+from .typecheck import CheckedProgram, check_probabilistic, check_program
 
 __all__ = [
     "McConfig",
     "QuadConfig",
+    "exact_table",
     "normalize_exact",
     "normalize_quadrature",
     "normalize_mc",
     "mc_evaluator",
-    "machine_nu_exact",
     "machine_nu_quad",
     "machine_nu_mc",
 ]
@@ -61,7 +72,6 @@ class McConfig:
     trials: int = 100_000
     seed: int = 0
     max_depth: int = 8
-    engine: str = "direct"  # or "machine"
     jobs: int = 1
     chunk: int = 1024
 
@@ -70,23 +80,32 @@ class McConfig:
             raise ValueError("Monte Carlo needs trials >= 1")
 
 
-def _as_checked(prog, registry: PrimRegistry) -> CheckedProgram:
-    checked = prog if isinstance(prog, CheckedProgram) else check_program(prog, registry)
-    if checked.mode != "p":
-        raise ValueError("normalization expects a probabilistic term")
-    return checked
-
-
 # ---------------------------------------------------------------------------
 # Exact
 
 
-def normalize_exact(
-    prog, registry: PrimRegistry = DEFAULT_REGISTRY, machine: Machine | None = None
-) -> NormResult:
-    checked = _as_checked(prog, registry)
-    machine = machine or Machine(registry)
-    return machine.nu_exact(machine.config(checked.term, checked.ty))
+def exact_table(prog, registry: PrimRegistry = DEFAULT_REGISTRY) -> WeightedMeasure:
+    """The program's outcome table: (probability, weight, value) entries
+    merged on equal (weight, value) and sorted canonically."""
+    checked = check_probabilistic(prog, registry)
+    if not is_measurable(checked.ty):
+        raise HigherOrderUnsupported("a function or thunk value cannot enter a measure")
+    return _exact_measure(checked.term, {}, checked.ty)
+
+
+def normalize_exact(prog, registry: PrimRegistry = DEFAULT_REGISTRY) -> NormResult:
+    return iota(exact_table(prog, registry))
+
+
+def _exact_measure(t, env: dict, over) -> WeightedMeasure:
+    leaves = Enumeration(_EXACT).leaves(t, env)
+    m = WeightedMeasure([(p, w, v) for p, w, v, _ in leaves], over)
+    return WeightedMeasure(canonical(m), over)
+
+
+_EXACT = DirectEvaluator(
+    norm_handler=lambda ev, norm, env: iota(_exact_measure(norm.body, env, norm._over))
+)
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +115,8 @@ def normalize_exact(
 def normalize_mc(
     prog, mcfg: McConfig = McConfig(), registry: PrimRegistry = DEFAULT_REGISTRY
 ) -> NormResult:
-    checked = _as_checked(prog, registry)
-    if mcfg.engine == "machine":
-        weights, values = _machine_traces(checked, mcfg, registry)
-    else:
-        weights, values = _direct_traces(checked, mcfg)
+    checked = check_probabilistic(prog, registry)
+    weights, values = _direct_traces(checked, mcfg)
     return _mc_result(weights, values, checked.ty, mcfg.trials)
 
 
@@ -109,6 +125,8 @@ def _mc_result(weights, values, over, trials: int) -> NormResult:
     evidence = float(w.mean())
     if evidence == 0.0:
         return ZeroEvidence()
+    if not math.isfinite(evidence):
+        return InfiniteEvidence()
     stderr = float(w.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     posterior = Empirical(
         [(wi, vi) for wi, vi in zip(weights, values) if wi > 0.0], over
@@ -135,13 +153,7 @@ def mc_evaluator(mcfg: McConfig) -> DirectEvaluator:
             raise NormDepthExceeded(f"norm nesting deeper than {mcfg.max_depth}")
         depth[0] += 1
         try:
-            weights, values = [], []
-            for index, size in _chunks(mcfg.trials, mcfg.chunk):
-                rng = substream(mcfg.seed, "norm", key, index)
-                for _ in range(size):
-                    w, v = evaluator.trace(norm.body, env, rng)
-                    weights.append(w)
-                    values.append(v)
+            weights, values = _traces(evaluator, norm.body, env, mcfg, "norm", key)
             result = _mc_result(weights, values, norm._over, mcfg.trials)
         finally:
             depth[0] -= 1
@@ -154,13 +166,17 @@ def mc_evaluator(mcfg: McConfig) -> DirectEvaluator:
 def _direct_traces(checked: CheckedProgram, mcfg: McConfig):
     if mcfg.jobs > 1:
         return _direct_traces_parallel(checked, mcfg)
-    evaluator = mc_evaluator(mcfg)
+    return _traces(mc_evaluator(mcfg), checked.term, {}, mcfg, "mc")
+
+
+def _traces(evaluator: DirectEvaluator, t, env: dict, mcfg: McConfig, *key):
+    """mcfg.trials traces of t; chunk i draws from substream(seed, *key, i)."""
     weights: list[float] = []
     values: list = []
     for index, size in _chunks(mcfg.trials, mcfg.chunk):
-        rng = substream(mcfg.seed, "mc", index)
+        rng = substream(mcfg.seed, *key, index)
         for _ in range(size):
-            w, v = evaluator.trace(checked.term, {}, rng)
+            w, v = evaluator.trace(t, env, rng)
             weights.append(w)
             values.append(v)
     return weights, values
@@ -200,71 +216,23 @@ def _direct_traces_parallel(checked: CheckedProgram, mcfg: McConfig):
     return weights, values
 
 
-def _machine_traces(checked: CheckedProgram, mcfg: McConfig, registry: PrimRegistry):
-    machine = Machine(registry, nu=machine_nu_mc(mcfg))
-    cfg = machine.config(checked.term, checked.ty)
-    weights: list[float] = []
-    values: list = []
-    for index, size in _chunks(mcfg.trials, mcfg.chunk):
-        rng = substream(mcfg.seed, "mc", index)
-        for _ in range(size):
-            r = machine.eval_prob(cfg, rng)
-            weights.append(r.weight)
-            values.append(r.point())
-    return weights, values
-
-
 # ---------------------------------------------------------------------------
 # Normalizers for Machine instances. A machine environment holds only
 # ground slots, so a configuration converts directly to an evaluator
 # environment.
 
 
-def machine_nu_exact():
-    return None  # Machine defaults to its own exact normalizer
+def _machine_nu(evaluator: DirectEvaluator):
+    def nu(machine: Machine, config: Config) -> NormResult:
+        node = Norm(config.term, _over=config.ty)
+        return evaluator.norm_handler(evaluator, node, dict(config.env))
+
+    return nu
 
 
 def machine_nu_quad(qcfg: QuadConfig = QuadConfig()):
-    handler = quad_normalizer(qcfg)
-
-    def nu(machine: Machine, config: Config) -> NormResult:
-        node = Norm(config.term, _over=config.ty)
-        return handler(None, node, dict(config.env))
-
-    return nu
+    return _machine_nu(DirectEvaluator(norm_handler=quad_normalizer(qcfg)))
 
 
 def machine_nu_mc(mcfg: McConfig = McConfig()):
-    memo: dict[str, NormResult] = {}
-    depth = [0]
-
-    def nu(machine: Machine, config: Config) -> NormResult:
-        key = _machine_norm_key(config)
-        if key in memo:
-            return memo[key]
-        if depth[0] >= mcfg.max_depth:
-            raise NormDepthExceeded(f"norm nesting deeper than {mcfg.max_depth}")
-        depth[0] += 1
-        try:
-            weights, values = [], []
-            for index, size in _chunks(mcfg.trials, mcfg.chunk):
-                rng = substream(mcfg.seed, "norm", key, index)
-                for _ in range(size):
-                    r = machine.eval_prob(config, rng)
-                    weights.append(r.weight)
-                    values.append(r.point())
-            result = _mc_result(weights, values, config.ty, mcfg.trials)
-        finally:
-            depth[0] -= 1
-        memo[key] = result
-        return result
-
-    return nu
-
-
-def _machine_norm_key(config: Config) -> str:
-    from .direct import describe_value
-
-    names = sorted(free_vars(config.term))
-    bound = ",".join(f"{n}={describe_value(env_lookup(config.env, n))}" for n in names)
-    return f"{pretty(config.term)}|{bound}"
+    return _machine_nu(mc_evaluator(mcfg))

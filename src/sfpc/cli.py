@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .backends import (
     McConfig,
     QuadConfig,
+    exact_table,
     machine_nu_mc,
     machine_nu_quad,
     normalize_exact,
@@ -43,7 +44,7 @@ def _read_source(path: str) -> SourceProgram:
 
 
 def _emit(obj, pretty_json: bool) -> None:
-    print(json.dumps(obj, indent=2 if pretty_json else None))
+    print(json.dumps(obj, indent=2 if pretty_json else None, allow_nan=False))
 
 
 def _diagnostic(kind: str, exc: Exception) -> None:
@@ -52,7 +53,7 @@ def _diagnostic(kind: str, exc: Exception) -> None:
         info.update(line=exc.line, col=exc.col, expected=list(exc.expected))
     if isinstance(exc, TypeCheckError):
         info.update(reason=exc.reason, at=exc.location)
-    print(json.dumps(info), file=sys.stderr)
+    print(json.dumps(info, allow_nan=False), file=sys.stderr)
 
 
 def _seed(args) -> int:
@@ -136,9 +137,7 @@ def cmd_enumerate(args) -> int:
     checked = _load(args.file)
     if checked.mode != "p":
         raise ValueError("enumerate expects a probabilistic program")
-    machine = Machine(checked.registry)
-    entries = machine.enumerate_config(machine.config(checked.term, checked.ty))
-    for prob, weight, value in entries:
+    for prob, weight, value in exact_table(checked).entries:
         _emit({"prob": prob, "weight": weight, "value": point_json(value, checked.ty)},
               args.pretty)
     return 0
@@ -241,6 +240,9 @@ def main(argv=None) -> int:
         return 1
     except (SfpcError, ValueError, OSError) as e:
         _diagnostic(type(e).__name__, e)
+        return 1
+    except RecursionError:
+        _diagnostic("RecursionError", RecursionError("input nested too deeply"))
         return 1
 
 

@@ -1,23 +1,37 @@
-"""Environment-passing big-step sampler.
+"""Environment-passing big-step evaluation, the engine of all three
+normalization backends.
 
-Draws one weighted trace per call without rewriting terms, which makes it
-roughly an order of magnitude faster than stepping configurations; the
-Monte Carlo backend and the statistical equation checker run on it. It
-implements the same trace distribution as Machine.eval_prob, and the test
-suite checks the two engines against each other on the program corpus.
+`DirectEvaluator.trace` draws one weighted trace without rewriting terms,
+an order of magnitude faster than stepping the machine; Monte Carlo and
+the statistical equation checker run on it, and the test suite checks it
+against Machine.eval_prob trace by trace. `Enumeration` walks every
+branch instead, for exact and quadrature normalization and `sfpc
+enumerate`: each branch multiplies its probability and weight left to
+right, as the machine does, and a sample-site strategy (atoms here,
+grids in quad.py) decides how a site branches.
 
-Normalization sites are delegated to a handler (the Monte Carlo backend
-recurses here); functions and thunks are closures over the environment.
+Both share `det`. Normalization sites are delegated to a handler;
+functions and thunks are closures over the environment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .dist import DistValue, Tagged, UNIT_POINT, render_point, sample_dist
+from .dist import (
+    DistValue,
+    LamClosure,
+    Tagged,
+    ThunkClosure,
+    UNIT_POINT,
+    dist_describe,
+    enumerate_dist,
+    render_point,
+    sample_dist,
+)
+from .errors import NotEnumerable, StepBudgetExceeded
 from .measures import Success
 from .printer import pretty
 from .syntax import (
@@ -41,19 +55,6 @@ from .syntax import (
     Var,
     free_vars,
 )
-
-
-@dataclass
-class LamClosure:
-    var: str
-    body: Term
-    env: dict
-
-
-@dataclass
-class ThunkClosure:
-    body: Term
-    env: dict
 
 
 class DirectEvaluator:
@@ -133,6 +134,96 @@ class DirectEvaluator:
                     raise AssertionError(f"not a probabilistic term: {t!r}")
 
 
+ENUM_BUDGET = 2_000_000  # sample-site branches one exact enumeration may take
+
+Leaf = tuple  # (probability, weight, value, continuous sites used)
+
+
+class Enumeration:
+    """Every branch of a probabilistic term, as a list of leaves.
+
+    A branch's pending let bodies form a linked stack of frames
+    (var, body, env, rest). Let spines and the last atom of each sample
+    site continue in a loop, so only a site's other atoms recurse. This
+    class is the exact strategy: a sample site branches into the atoms of
+    its distribution, within ENUM_BUDGET branches.
+    """
+
+    def __init__(self, evaluator: DirectEvaluator):
+        self.det = evaluator.det
+        self.branches = 0
+
+    def leaves(self, t: Term, env: dict) -> list[Leaf]:
+        out: list[Leaf] = []
+        self.walk(t, env, None, 1.0, 1.0, 0, out)
+        return out
+
+    def walk(self, t: Term, env: dict, frames, prob, weight, sites, out) -> None:
+        while True:
+            match t:
+                case Let(var, bound, rest):
+                    frames = (var, rest, env, frames)
+                    if isinstance(bound, Sample) and self.let_sample(
+                        bound, frames, prob, weight, sites, out
+                    ):
+                        return
+                    t = bound
+                    continue
+                case CaseP(scrut, arms):
+                    sv = self.det(scrut, env)
+                    arm = arms[sv.tag]
+                    env = {**env, arm.var: sv.payload}
+                    t = arm.body
+                    continue
+                case Force(body):
+                    tv = self.det(body, env)
+                    assert isinstance(tv, ThunkClosure)
+                    env = tv.env
+                    t = tv.body
+                    continue
+                case Sample(body):
+                    atoms, sites = self.atoms(self.det(body, env), sites)
+                    for q, v in atoms[:-1]:
+                        self.resume(frames, v, prob * q, weight, sites, out)
+                    q, value = atoms[-1]
+                    prob *= q
+                case Return(body):
+                    value = self.det(body, env)
+                case Score(body):
+                    s = self.det(body, env)
+                    weight *= s if s > 0.0 else 0.0
+                    value = UNIT_POINT
+                case _:
+                    raise AssertionError(f"not a probabilistic term: {t!r}")
+            if frames is None:
+                out.append((prob, weight, value, sites))
+                return
+            var, t, env, frames = frames
+            env = {**env, var: value}
+
+    def resume(self, frames, value, prob, weight, sites, out) -> None:
+        """Continue a branch whose current term has returned value."""
+        if frames is None:
+            out.append((prob, weight, value, sites))
+        else:
+            var, body, env, rest = frames
+            self.walk(body, {**env, var: value}, rest, prob, weight, sites, out)
+
+    def atoms(self, d: DistValue, sites: int) -> tuple[list, int]:
+        """The site's (mass, point) branches and the new site count."""
+        atoms = enumerate_dist(d)
+        if atoms is None:
+            raise NotEnumerable(d)
+        self.branches += len(atoms)
+        if self.branches > ENUM_BUDGET:
+            raise StepBudgetExceeded(f"enumeration exceeded {ENUM_BUDGET} branches")
+        return atoms, sites
+
+    def let_sample(self, bound: Sample, frames, prob, weight, sites, out) -> bool:
+        """True when the strategy took over a let-bound sample site."""
+        return False
+
+
 def describe_value(v) -> str:
     """Stable text form of a runtime value, used for derived seeds."""
     if isinstance(v, LamClosure):
@@ -142,8 +233,6 @@ def describe_value(v) -> str:
         captured = _describe_env(v.env, free_vars(v.body))
         return f"thunk.{pretty(v.body)}[{captured}]"
     if isinstance(v, DistValue):
-        from .dist import dist_describe
-
         return dist_describe(v)
     if isinstance(v, tuple) and v:
         return f"({describe_value(v[0])}, {describe_value(v[1])})"
@@ -159,4 +248,7 @@ def _describe_env(env: dict, names) -> str:
 def norm_site_key(norm: Norm, env: dict) -> str:
     """Fingerprint of a normalization site: the body plus the values of its
     free variables. Two sites with equal keys normalize identically."""
-    return f"{pretty(norm.body)}|{_describe_env(env, free_vars(norm.body))}"
+    if norm._site is None:  # the body's text and free variables, once per node
+        norm._site = (pretty(norm.body), free_vars(norm.body))
+    text, names = norm._site
+    return f"{text}|{_describe_env(env, names)}"

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .syntax import (
+    BOOL,
     REAL,
     DensTy,
     Inj,
@@ -42,6 +43,7 @@ from .syntax import (
     Ty,
     UnitTy,
     Var,
+    ty_str,
 )
 
 UNIT_POINT: tuple = ()
@@ -68,6 +70,24 @@ class Density:
     name: str
     params: tuple[float, ...]
     base: Ty = REAL
+
+
+@dataclass
+class LamClosure:
+    """A function value: a lambda over its defining environment. Closures
+    are runtime values of higher type, not points."""
+
+    var: str
+    body: Term
+    env: dict
+
+
+@dataclass
+class ThunkClosure:
+    """A suspended probabilistic term over its defining environment."""
+
+    body: Term
+    env: dict
 
 
 FALSE_POINT = Tagged(0, UNIT_POINT)
@@ -215,8 +235,6 @@ def gauss(mu: float, sigma: float) -> Parametric:
 
 
 def bern(p: float) -> Parametric:
-    from .syntax import BOOL
-
     return Parametric("bern", _san_bern(p), BOOL)
 
 
@@ -485,8 +503,6 @@ def render_point(p, ty: Ty | None = None) -> str:
         lt, rt = (ty.left, ty.right) if isinstance(ty, ProdTy) else (None, None)
         return f"({render_point(p[0], lt)}, {render_point(p[1], rt)})"
     if isinstance(p, Tagged):
-        from .syntax import BOOL
-
         if ty == BOOL or (ty is None and p.payload == UNIT_POINT and p.tag in (0, 1)):
             return "true" if p.tag == 1 else "false"
         armty = ty.arms[p.tag] if isinstance(ty, SumTy) else None
@@ -517,8 +533,6 @@ def dist_describe(d: DistValue) -> str:
     Unlike render_dist, empirical ensembles contribute a content hash, so
     two different posteriors never share a description.
     """
-    from .syntax import ty_str
-
     if isinstance(d, Empirical):
         if d._fp is None:
             import hashlib

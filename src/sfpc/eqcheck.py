@@ -393,18 +393,3 @@ def run_case(
     if case.mode in ("statistical", "both"):
         out.append(check_statistical(case, trials, seed, k, registry))
     return out
-
-
-def run_corpus(
-    trials: int = 100_000,
-    seed: int = 0,
-    k: float = 4.0,
-    names: tuple[str, ...] | None = None,
-    registry: PrimRegistry = DEFAULT_REGISTRY,
-) -> list[Verdict]:
-    verdicts = []
-    for case in builtin_corpus():
-        if names is not None and case.name not in names:
-            continue
-        verdicts.extend(run_case(case, trials, seed, k, registry))
-    return verdicts

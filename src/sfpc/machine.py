@@ -1,4 +1,6 @@
-"""Small-step evaluation over configurations.
+"""Small-step evaluation over configurations: the paper's operational
+semantics. `sfpc run` samples with it, and the test suite checks the
+big-step engines of direct.py and the compositional oracle against it.
 
 A configuration closes an open term over an environment of indecomposable
 slots (reals, distributions, densities); the environment only ever grows.
@@ -76,9 +78,6 @@ class Config:
     term: Term
     ty: Ty
 
-    def is_terminal(self) -> bool:
-        return is_value(self.term) if self.mode == "d" else is_p_value(self.term)
-
 
 @dataclass
 class StepOutcome:
@@ -126,7 +125,7 @@ class Machine:
         enum_budget: int = 2_000_000,
     ):
         self.registry = registry
-        self.nu = nu
+        self.nu = nu or Machine.nu_exact
         self.step_budget = step_budget
         self.enum_budget = enum_budget
         self._fresh = itertools.count(1)  # next() is atomic under the GIL
@@ -210,11 +209,7 @@ class Machine:
         if over is None:
             over = infer("p", env_ctx(env), body, self.registry)
         normty = SumTy((ProdTy(REAL, ProbTy(over)), UNIT, UNIT))
-        result = (
-            self.nu(self, Config("p", env, body, over))
-            if self.nu is not None
-            else self.nu_exact(Config("p", env, body, over))
-        )
+        result = self.nu(self, Config("p", env, body, over))
         if isinstance(result, Success):
             xe, xd = self.fresh("e"), self.fresh("d")
             env2 = env + ((xe, float(result.evidence)), (xd, result.posterior))
@@ -267,22 +262,18 @@ class Machine:
             steps += 1 + det_steps
         return WeightedResult(weight, cfg, steps)
 
-    def enumerate_config(
-        self, cfg: Config, site=None
-    ) -> list[tuple[float, float, object]]:
+    def enumerate_config(self, cfg: Config) -> list[tuple[float, float, object]]:
         """Exact distribution over (weight, result point) pairs.
 
         Outcomes with equal (weight, point) merge by summing probability;
-        output is sorted canonically. `site` overrides how a sample site
-        expands into atoms (the quadrature backend discretizes there).
+        output is sorted canonically.
         """
-        if site is None:
 
-            def site(d: DistValue):
-                atoms = enumerate_dist(d)
-                if atoms is None:
-                    raise NotEnumerable(d)
-                return atoms
+        def site(d: DistValue):
+            atoms = enumerate_dist(d)
+            if atoms is None:
+                raise NotEnumerable(d)
+            return atoms
 
         stack = [(1.0, 1.0, cfg)]
         acc: dict = {}
@@ -312,13 +303,9 @@ class Machine:
         out.sort(key=lambda e: (render_point(e[2], cfg.ty), e[1], e[0]))
         return out
 
-    def measure_of(self, cfg: Config, site=None) -> WeightedMeasure:
-        entries = self.enumerate_config(cfg, site)
-        return WeightedMeasure([(p, w, v) for p, w, v in entries], cfg.ty)
-
     def nu_exact(self, cfg: Config) -> NormResult:
         """The default normalizer: exact enumeration followed by iota."""
-        return iota(self.measure_of(cfg))
+        return iota(WeightedMeasure(self.enumerate_config(cfg), cfg.ty))
 
     def _branches(self, cfg: Config, site) -> tuple[list, int]:
         """All one-step successors of a probabilistic configuration.

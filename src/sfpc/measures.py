@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dist import DistValue, FiniteSupport, finite_support, render_point
+from .dist import PROB_SUM_TOL, DistValue, FiniteSupport, finite_support, render_point
 from .syntax import Ty
-
-PROB_SUM_TOL = 1e-12
 
 
 @dataclass
@@ -95,7 +93,7 @@ def iota(m: WeightedMeasure) -> NormResult:
 # Comparison of measures (exact up to a small float tolerance)
 
 
-def _canon(m: WeightedMeasure) -> list[tuple[float, float, object]]:
+def canonical(m: WeightedMeasure) -> list[tuple[float, float, object]]:
     return sorted(
         m.merged().entries, key=lambda e: (render_point(e[2], m.over), e[1], e[0])
     )
@@ -110,7 +108,7 @@ def measures_close(a: WeightedMeasure, b: WeightedMeasure, tol: float = 1e-12) -
     """
     from .dist import point_close
 
-    ea, eb = _canon(a), _canon(b)
+    ea, eb = canonical(a), canonical(b)
     if len(ea) != len(eb):
         return False
     return all(

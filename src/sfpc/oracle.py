@@ -13,9 +13,7 @@ enter a measure (a non-measurable result type) is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .dist import DistValue, Tagged, UNIT_POINT, enumerate_dist
+from .dist import DistValue, LamClosure, Tagged, ThunkClosure, UNIT_POINT, enumerate_dist
 from .errors import HigherOrderUnsupported, NotEnumerable
 from .measures import Success, WeightedMeasure, iota
 from .syntax import (
@@ -41,21 +39,8 @@ from .syntax import (
 from .typecheck import CheckedProgram, check_program
 
 
-@dataclass
-class Closure:
-    var: str
-    body: Term
-    env: dict
-
-
-@dataclass
-class ThunkVal:
-    body: Term
-    env: dict
-
-
 def _assert_ground(v, context: str):
-    if isinstance(v, (Closure, ThunkVal)):
+    if isinstance(v, (LamClosure, ThunkClosure)):
         raise HigherOrderUnsupported(
             f"a function or thunk value cannot {context}"
         )
@@ -96,14 +81,14 @@ def denote_det(t: Term, env: dict):
                 return Tagged(0, (result.evidence, result.posterior))
             return Tagged(result.tag, UNIT_POINT)
         case Lam(var, _, body):
-            return Closure(var, body, env)
+            return LamClosure(var, body, env)
         case App(fun, arg):
             fv = denote_det(fun, env)
-            assert isinstance(fv, Closure)
+            assert isinstance(fv, LamClosure)
             av = denote_det(arg, env)
             return denote_det(fv.body, {**fv.env, fv.var: av})
         case ThunkT(body):
-            return ThunkVal(body, env)
+            return ThunkClosure(body, env)
     raise AssertionError(f"not a deterministic term: {t!r}")
 
 
@@ -135,7 +120,7 @@ def denote_prob(t: Term, env: dict) -> list[tuple[float, float, object]]:
             return [(1.0, s if s > 0.0 else 0.0, UNIT_POINT)]
         case Force(body):
             tv = denote_det(body, env)
-            assert isinstance(tv, ThunkVal)
+            assert isinstance(tv, ThunkClosure)
             return denote_prob(tv.body, tv.env)
     raise AssertionError(f"not a probabilistic term: {t!r}")
 

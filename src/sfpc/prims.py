@@ -40,10 +40,6 @@ class Sig:
 _NUMBER_RE = re.compile(r"^-?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
 
 
-def literal_name(x: float) -> str:
-    return repr(float(x))
-
-
 def is_literal_name(name: str) -> bool:
     return _NUMBER_RE.match(name) is not None
 

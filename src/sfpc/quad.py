@@ -1,4 +1,6 @@
-"""Deterministic quadrature over continuous sample sites.
+"""Deterministic quadrature over continuous sample sites: a sample-site
+strategy for the enumeration walk of direct.py, plus the grid geometry,
+the refinement signatures and the truncation-doubling loop.
 
 Each continuous site is truncated to a range stated in prior standard
 deviations and covered by an equal-prior-mass grid of n cells, each
@@ -23,27 +25,19 @@ from statistics import NormalDist
 
 from .dist import (
     DistValue,
+    LamClosure,
     Parametric,
     Tagged,
-    UNIT_POINT,
+    ThunkClosure,
     enumerate_dist,
     finite_support,
 )
-from .direct import DirectEvaluator, LamClosure, ThunkClosure
+from .direct import DirectEvaluator, Enumeration, Leaf
 from .errors import NormDepthExceeded, TooManyContinuousSites
 from .measures import InfiniteEvidence, NormResult, Success, ZeroEvidence
 from .prims import DEFAULT_REGISTRY, PrimRegistry
-from .syntax import (
-    CaseP,
-    Force,
-    Let,
-    Norm,
-    Return,
-    Sample,
-    Score,
-    Term,
-)
-from .typecheck import CheckedProgram, check_program
+from .syntax import Norm, Sample, Term
+from .typecheck import check_probabilistic
 
 
 @dataclass(frozen=True)
@@ -147,56 +141,23 @@ def _signature(atoms) -> tuple:
     return tuple(sorted(repr((_shape(v), s == 0.0)) for _, s, v, _ in atoms))
 
 
-# -- the evaluator ------------------------------------------------------------
-
-Atom = tuple  # (mass, weight, value, continuous_sites_used)
+# -- the sample-site strategy ------------------------------------------------
 
 
-class _QuadRun:
-    """One enumeration pass at a fixed truncation radius."""
+class _QuadSites(Enumeration):
+    """The enumeration walk at one truncation radius: continuous sites
+    branch into grid cells, and the cells of a let-bound site refine."""
 
     def __init__(self, qcfg: QuadConfig, radius: float, norm):
+        super().__init__(DirectEvaluator(norm_handler=norm))
         self.qcfg = qcfg
         self.radius = radius
-        self.det = DirectEvaluator(norm_handler=norm).det
 
-    def prob(self, t: Term, env: dict, sites: int) -> list[Atom]:
-        match t:
-            case Return(body):
-                return [(1.0, 1.0, self.det(body, env), sites)]
-            case Let(var, bound, body):
-                if isinstance(bound, Sample):
-                    d = self.det(bound.body, env)
-                    if enumerate_dist(d) is None:
-                        return self._refinable_site(d, var, body, env, sites)
-                out = []
-                for m, w, a, s in self.prob(bound, env, sites):
-                    env2 = {**env, var: a}
-                    out.extend(
-                        (m * m2, w * w2, b, s2)
-                        for m2, w2, b, s2 in self.prob(body, env2, s)
-                    )
-                return out
-            case CaseP(scrut, arms):
-                sv = self.det(scrut, env)
-                arm = arms[sv.tag]
-                return self.prob(arm.body, {**env, arm.var: sv.payload}, sites)
-            case Sample(body):
-                d = self.det(body, env)
-                assert isinstance(d, DistValue)
-                atoms = enumerate_dist(d)
-                if atoms is None:
-                    sites = self._count_site(sites)
-                    atoms = grid_atoms(d, self.qcfg.nodes, self.radius)
-                return [(m, 1.0, v, sites) for m, v in atoms]
-            case Score(body):
-                s = self.det(body, env)
-                return [(1.0, s if s > 0.0 else 0.0, UNIT_POINT, sites)]
-            case Force(body):
-                tv = self.det(body, env)
-                assert isinstance(tv, ThunkClosure)
-                return self.prob(tv.body, tv.env, sites)
-        raise AssertionError(f"not a probabilistic term: {t!r}")
+    def atoms(self, d: DistValue, sites: int) -> tuple[list, int]:
+        atoms = enumerate_dist(d)
+        if atoms is not None:
+            return atoms, sites
+        return grid_atoms(d, self.qcfg.nodes, self.radius), self._count_site(sites)
 
     def _count_site(self, sites: int) -> int:
         if sites + 1 > self.qcfg.max_sites:
@@ -205,9 +166,11 @@ class _QuadRun:
             )
         return sites + 1
 
-    def _refinable_site(
-        self, d: Parametric, var: str, body: Term, env: dict, sites: int
-    ) -> list[Atom]:
+    def let_sample(self, bound: Sample, frames, prob, weight, sites, out) -> bool:
+        var, body, env, rest = frames
+        d = self.det(bound.body, env)
+        if enumerate_dist(d) is not None:
+            return False
         sites = self._count_site(sites)
         lo, hi = _site_bounds(d, self.radius)
         ulo, uhi = _site_cdf(d, lo), _site_cdf(d, hi)
@@ -215,46 +178,48 @@ class _QuadRun:
             raise ValueError(f"degenerate quadrature range for {d!r}")
         n = self.qcfg.nodes
         cell = (uhi - ulo) / n
+        let_body = (var, body, env, None)
 
-        def continue_at(u: float) -> list[Atom]:
-            point = _site_quantile(d, u)
-            return self.prob(body, {**env, var: point}, sites)
+        def continue_at(u: float, mass: float) -> list[Leaf]:
+            """Leaves of the let body alone at the point of quantile u. They
+            start from weight 1, so signatures see the body's own zero
+            weights; the branch's prefix multiplies in when a leaf is kept."""
+            leaves: list[Leaf] = []
+            self.resume(let_body, _site_quantile(d, u), mass, 1.0, sites, leaves)
+            return leaves
 
         # Signatures at the n+1 cell edges locate shape changes exactly
         # (up to multiple crossings inside one cell); each flagged cell
         # bisects toward the crossing.
         edge_sigs = [
-            _signature(continue_at(ulo + i * cell)) for i in range(n + 1)
+            _signature(continue_at(ulo + i * cell, 1.0)) for i in range(n + 1)
         ]
-        out: list[Atom] = []
         for i in range(n):
             a, b = ulo + i * cell, ulo + (i + 1) * cell
-            out.extend(
-                self._cell(
-                    continue_at, a, b, edge_sigs[i], edge_sigs[i + 1],
-                    self.qcfg.refine_depth,
-                )
-            )
-        return out
+            for p, w, v, s in self._cell(
+                continue_at, a, b, edge_sigs[i], edge_sigs[i + 1],
+                self.qcfg.refine_depth,
+            ):
+                self.resume(rest, v, prob * p, weight * w, s, out)
+        return True
 
-    def _cell(self, continue_at, a, b, sig_a, sig_b, depth: int) -> list[Atom]:
-        """Midpoint atom of the cell [a, b], bisected while the endpoint
-        and midpoint continuation signatures disagree."""
-        down = continue_at((a + b) / 2.0)
+    def _cell(self, continue_at, a, b, sig_a, sig_b, depth: int) -> list[Leaf]:
+        """Leaves at the midpoint of the cell [a, b], bisected while the
+        endpoint and midpoint continuation signatures disagree."""
+        down = continue_at((a + b) / 2.0, b - a)
         sig_mid = _signature(down)
         if depth > 0 and not (sig_a == sig_mid == sig_b):
             mid = (a + b) / 2.0
             return self._cell(continue_at, a, mid, sig_a, sig_mid, depth - 1) + (
                 self._cell(continue_at, mid, b, sig_mid, sig_b, depth - 1)
             )
-        mass = b - a
-        return [(mass * m, w, v, s) for m, w, v, s in down]
+        return down
 
 
 # -- normalization ------------------------------------------------------------
 
 
-def _normalize_atoms(atoms: list[Atom], over) -> tuple[float, NormResult]:
+def _normalize_atoms(atoms: list[Leaf], over) -> tuple[float, NormResult]:
     evidence = math.fsum(m * w for m, w, _, _ in atoms)
     if evidence == 0.0:
         return 0.0, ZeroEvidence()
@@ -271,7 +236,7 @@ def _quad_normalize(t: Term, env: dict, over, qcfg: QuadConfig, norm) -> NormRes
     result: NormResult = ZeroEvidence()
     for i in range(qcfg.doublings + 1):
         radius = qcfg.radius * (2.0**i)
-        atoms = _QuadRun(qcfg, radius, norm).prob(t, env, 0)
+        atoms = _QuadSites(qcfg, radius, norm).leaves(t, env)
         z, result = _normalize_atoms(atoms, over)
         evidences.append(z)
     for za, zb in zip(evidences, evidences[1:]):
@@ -301,7 +266,5 @@ def quad_normalizer(qcfg: QuadConfig):
 def normalize_quadrature(
     prog, qcfg: QuadConfig = QuadConfig(), registry: PrimRegistry = DEFAULT_REGISTRY
 ) -> NormResult:
-    checked = prog if isinstance(prog, CheckedProgram) else check_program(prog, registry)
-    if checked.mode != "p":
-        raise ValueError("normalization expects a probabilistic term")
+    checked = check_probabilistic(prog, registry)
     return _quad_normalize(checked.term, {}, checked.ty, qcfg, quad_normalizer(qcfg))

@@ -265,6 +265,7 @@ class Prim(Term):
 class Norm(Term):
     body: Term
     _over: Ty | None = field(default=None, compare=False, repr=False)
+    _site: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(eq=True)

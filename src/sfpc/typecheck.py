@@ -204,3 +204,11 @@ def check_program(
     """Classify and type a top-level term under its syntactic judgement."""
     mode = classify(t)
     return CheckedProgram(t, mode, infer(mode, ctx, t, registry), registry)
+
+
+def check_probabilistic(prog, registry: PrimRegistry = DEFAULT_REGISTRY) -> CheckedProgram:
+    """A checked probabilistic program, the input of every normalizer."""
+    checked = prog if isinstance(prog, CheckedProgram) else check_program(prog, registry)
+    if checked.mode != "p":
+        raise ValueError("normalization expects a probabilistic term")
+    return checked

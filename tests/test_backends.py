@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from sfpc import corpus
+from sfpc import corpus, direct
 from sfpc.backends import (
     McConfig,
     QuadConfig,
@@ -14,9 +15,21 @@ from sfpc.backends import (
 )
 from sfpc.direct import DirectEvaluator
 from sfpc.dist import Empirical, enumerate_dist, render_point
-from sfpc.errors import NormDepthExceeded, NotEnumerable, TooManyContinuousSites
+from sfpc.errors import (
+    NormDepthExceeded,
+    NotEnumerable,
+    StepBudgetExceeded,
+    TooManyContinuousSites,
+)
 from sfpc.machine import Machine
-from sfpc.measures import InfiniteEvidence, Success, ZeroEvidence, norm_results_close
+from sfpc.measures import (
+    InfiniteEvidence,
+    Success,
+    ZeroEvidence,
+    iota,
+    norm_results_close,
+)
+from sfpc.oracle import denote_program
 from sfpc.parser import parse
 from sfpc.quad import grid_atoms
 from sfpc.rng import substream
@@ -59,6 +72,26 @@ class TestExact:
         a = normalize_exact(TWO_POINT)
         b = normalize_exact(corpus.checked("resample_two_point"))
         assert norm_results_close(a, b, 1e-12)
+
+    @pytest.mark.parametrize("name", [n for n in corpus.DISCRETE
+                                      if corpus.checked(n).mode == "p"])
+    def test_matches_oracle(self, name):
+        checked = corpus.checked(name)
+        want = iota(denote_program(checked))
+        assert norm_results_close(normalize_exact(checked), want, 1e-12)
+
+    def test_long_chain_of_single_atom_sites(self):
+        # the last atom of a site continues in the walk's loop, not a call
+        src = "".join(f"let x{i} = sample(dirac({i}.0)) in " for i in range(500))
+        r = normalize_exact(parse(src + "return(x499)"))
+        assert enumerate_dist(r.posterior) == [(1.0, 499.0)]
+
+    def test_branch_budget(self, monkeypatch):
+        three_coins = corpus.checked("three_coins")  # 2 + 4 + 8 branches
+        assert isinstance(normalize_exact(three_coins), Success)
+        monkeypatch.setattr(direct, "ENUM_BUDGET", 13)
+        with pytest.raises(StepBudgetExceeded):
+            normalize_exact(three_coins)
 
 
 class TestQuadrature:
@@ -168,11 +201,20 @@ class TestMonteCarlo:
         assert seq.posterior == par.posterior
 
     def test_machine_engine_agrees_in_distribution(self):
-        direct = normalize_mc(TWO_POINT, McConfig(trials=20_000, seed=5))
-        mach = normalize_mc(TWO_POINT, McConfig(trials=20_000, seed=5, engine="machine"))
+        mcfg = McConfig(trials=20_000, seed=5)
+        direct = normalize_mc(TWO_POINT, mcfg)
+        # the machine's sampler on the backend's per-chunk substreams
+        machine = Machine()
+        cfg = machine.config(TWO_POINT.term, TWO_POINT.ty)
+        traces = []
+        for index, start in enumerate(range(0, mcfg.trials, mcfg.chunk)):
+            rng = substream(mcfg.seed, "mc", index)
+            for _ in range(min(mcfg.chunk, mcfg.trials - start)):
+                r = machine.eval_prob(cfg, rng)
+                traces.append((r.weight, r.point()))
         # identical streams drive identical traces
-        assert direct.evidence == mach.evidence
-        assert direct.posterior == mach.posterior
+        assert direct.evidence == float(np.mean([w for w, _ in traces]))
+        assert direct.posterior == Empirical([t for t in traces if t[0] > 0.0], TWO_POINT.ty)
 
     def test_nested_norm_memoized_and_rescored(self):
         r = normalize_mc(corpus.checked("resample_two_point"),

@@ -50,6 +50,14 @@ class TestCheck:
             code, _, _ = run_main(capsys, "check", path(name))
             assert code == 0, name
 
+    def test_deep_nesting_reports_cleanly(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sfpc.cli", "check", "-"],
+            input="(" * 400 + "1.0" + ")" * 400, capture_output=True, text=True,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "RecursionError"
+
     def test_missing_file_reports_cleanly(self, capsys):
         code, out, err = run_main(capsys, "check", "/no/such/file.sfpc")
         assert code == 1 and out == ""
@@ -90,6 +98,19 @@ class TestNorm:
         got = json.loads(out)
         assert got["tag"] == 0 and got["stderr"] > 0
         assert got["posterior"]["kind"] == "empirical"
+
+    def test_infinite_evidence_is_strict_json(self):
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        for backend in ("exact", "quad", "mc"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "sfpc.cli", "norm", "-", "--backend", backend,
+                 "--trials", "100", "--nodes", "4", "--doublings", "1"],
+                input="score(exp(1000.0)); return(*)", capture_output=True, text=True,
+            )
+            assert proc.returncode == 0 and proc.stderr == "", backend
+            assert json.loads(proc.stdout, parse_constant=reject) == {"tag": 2}
 
     def test_not_enumerable_is_an_error(self, capsys):
         code, _, err = run_main(
