@@ -1,7 +1,8 @@
 """Normalization backends: exact enumeration, deterministic quadrature,
-and Monte Carlo, all on the big-step evaluator of direct.py. The machine
-is the paper's operational semantics; `machine_nu_*` hand its nested
-normalization sites (in `sfpc run`) to these backends.
+and Monte Carlo, all on the big-step evaluator of direct.py and all
+handling nested normalization sites with `direct.site_handler`. The
+machine is the paper's operational semantics; `machine_nu_*` hand its
+nested normalization sites (in `sfpc run`) to these backends.
 
 Exact: enumerate the program's (weight, value) outcomes with the
 enumeration walk, merge them into the canonical outcome table, and
@@ -19,11 +20,12 @@ empirical ensemble of results. All weights zero reports zero evidence
 integral); a non-finite mean weight reports infinite evidence. Nested
 normalization recurses into the same backend with a seed derived from the
 normalization site, making the result a deterministic function of
-(program, seed, trials) and letting sites reached many times be
-normalized once.
+(program, seed, trials).
 
-Trace streams are chunked with a fixed chunk size and a per-chunk derived
-generator, so results are identical no matter how chunks are scheduled.
+Trace streams are chunked, CHUNK traces to a chunk, each chunk drawing
+from its own derived generator, so results are identical no matter how
+chunks are scheduled. A pool worker (jobs > 1) parses the program once
+and keeps one evaluator, with its nested-site memo, for all its chunks.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .direct import DirectEvaluator, Enumeration, norm_site_key
+from .direct import DirectEvaluator, Enumeration, site_handler
 from .dist import Empirical
-from .errors import HigherOrderUnsupported, NormDepthExceeded
+from .errors import HigherOrderUnsupported
 from .machine import Config, Machine
 from .measures import (
     InfiniteEvidence,
@@ -67,13 +69,14 @@ __all__ = [
 ]
 
 
+CHUNK = 1024  # traces per derived generator; part of every seeded result
+
+
 @dataclass(frozen=True)
 class McConfig:
     trials: int = 100_000
     seed: int = 0
-    max_depth: int = 8
     jobs: int = 1
-    chunk: int = 1024
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -90,22 +93,21 @@ def exact_table(prog, registry: PrimRegistry = DEFAULT_REGISTRY) -> WeightedMeas
     checked = check_probabilistic(prog, registry)
     if not is_measurable(checked.ty):
         raise HigherOrderUnsupported("a function or thunk value cannot enter a measure")
-    return _exact_measure(checked.term, {}, checked.ty)
+    evaluator = DirectEvaluator()
+
+    def measure(t, env: dict, over) -> WeightedMeasure:
+        leaves = Enumeration(evaluator).leaves(t, env)
+        m = WeightedMeasure([(p, w, v) for p, w, v, _ in leaves], over)
+        return WeightedMeasure(canonical(m), over)
+
+    evaluator.norm_handler = site_handler(
+        lambda body, env, over, key: iota(measure(body, env, over))
+    )
+    return measure(checked.term, {}, checked.ty)
 
 
 def normalize_exact(prog, registry: PrimRegistry = DEFAULT_REGISTRY) -> NormResult:
     return iota(exact_table(prog, registry))
-
-
-def _exact_measure(t, env: dict, over) -> WeightedMeasure:
-    leaves = Enumeration(_EXACT).leaves(t, env)
-    m = WeightedMeasure([(p, w, v) for p, w, v, _ in leaves], over)
-    return WeightedMeasure(canonical(m), over)
-
-
-_EXACT = DirectEvaluator(
-    norm_handler=lambda ev, norm, env: iota(_exact_measure(norm.body, env, norm._over))
-)
 
 
 # ---------------------------------------------------------------------------
@@ -116,104 +118,75 @@ def normalize_mc(
     prog, mcfg: McConfig = McConfig(), registry: PrimRegistry = DEFAULT_REGISTRY
 ) -> NormResult:
     checked = check_probabilistic(prog, registry)
-    weights, values = _direct_traces(checked, mcfg)
-    return _mc_result(weights, values, checked.ty, mcfg.trials)
+    if mcfg.jobs > 1:
+        traces = _pooled_traces(checked, mcfg)
+    else:
+        traces = _traces(mc_evaluator(mcfg), checked.term, {}, mcfg, "mc")
+    return _mc_result(traces, checked.ty, mcfg.trials)
 
 
-def _mc_result(weights, values, over, trials: int) -> NormResult:
-    w = np.asarray(weights, dtype=np.float64)
+def _mc_result(traces: list, over, trials: int) -> NormResult:
+    w = np.fromiter((wi for wi, _ in traces), dtype=np.float64, count=len(traces))
     evidence = float(w.mean())
     if evidence == 0.0:
         return ZeroEvidence()
     if not math.isfinite(evidence):
         return InfiniteEvidence()
     stderr = float(w.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    posterior = Empirical(
-        [(wi, vi) for wi, vi in zip(weights, values) if wi > 0.0], over
-    )
-    return Success(evidence, posterior, stderr)
-
-
-def _chunks(trials: int, chunk: int):
-    for index, start in enumerate(range(0, trials, chunk)):
-        yield index, min(chunk, trials - start)
+    return Success(evidence, Empirical([t for t in traces if t[0] > 0.0], over), stderr)
 
 
 def mc_evaluator(mcfg: McConfig) -> DirectEvaluator:
     """Big-step evaluator whose normalization sites run Monte Carlo with a
-    site-derived seed, computed once per distinct site."""
-    memo: dict[str, NormResult] = {}
-    depth = [0]
+    site-derived seed."""
+    evaluator = DirectEvaluator()
 
-    def handler(evaluator: DirectEvaluator, norm: Norm, env: dict) -> NormResult:
-        key = norm_site_key(norm, env)
-        if key in memo:
-            return memo[key]
-        if depth[0] >= mcfg.max_depth:
-            raise NormDepthExceeded(f"norm nesting deeper than {mcfg.max_depth}")
-        depth[0] += 1
-        try:
-            weights, values = _traces(evaluator, norm.body, env, mcfg, "norm", key)
-            result = _mc_result(weights, values, norm._over, mcfg.trials)
-        finally:
-            depth[0] -= 1
-        memo[key] = result
-        return result
+    def normalize(body, env: dict, over, key: str) -> NormResult:
+        traces = _traces(evaluator, body, env, mcfg, "norm", key)
+        return _mc_result(traces, over, mcfg.trials)
 
-    return DirectEvaluator(norm_handler=handler)
+    evaluator.norm_handler = site_handler(normalize)
+    return evaluator
 
 
-def _direct_traces(checked: CheckedProgram, mcfg: McConfig):
-    if mcfg.jobs > 1:
-        return _direct_traces_parallel(checked, mcfg)
-    return _traces(mc_evaluator(mcfg), checked.term, {}, mcfg, "mc")
+def _chunk(evaluator: DirectEvaluator, t, env: dict, mcfg: McConfig, key, start: int):
+    """The (weight, value) traces of t from trace `start` to the end of its
+    chunk, drawn from substream(seed, *key, start // CHUNK)."""
+    rng = substream(mcfg.seed, *key, start // CHUNK)
+    size = min(CHUNK, mcfg.trials - start)
+    return [evaluator.trace(t, env, rng) for _ in range(size)]
 
 
-def _traces(evaluator: DirectEvaluator, t, env: dict, mcfg: McConfig, *key):
-    """mcfg.trials traces of t; chunk i draws from substream(seed, *key, i)."""
-    weights: list[float] = []
-    values: list = []
-    for index, size in _chunks(mcfg.trials, mcfg.chunk):
-        rng = substream(mcfg.seed, *key, index)
-        for _ in range(size):
-            w, v = evaluator.trace(t, env, rng)
-            weights.append(w)
-            values.append(v)
-    return weights, values
+def _traces(evaluator: DirectEvaluator, t, env: dict, mcfg: McConfig, *key) -> list:
+    return [
+        trace
+        for start in range(0, mcfg.trials, CHUNK)
+        for trace in _chunk(evaluator, t, env, mcfg, key, start)
+    ]
 
 
-def _mc_worker(args):
-    src, seed, index, size, trials, max_depth, chunk = args
+_worker: tuple = ()  # a pool process's (evaluator, term, McConfig)
+
+
+def _init_worker(src: str, mcfg: McConfig) -> None:
     from .parser import parse
 
-    # nested normalization sites still run the full trial count
-    mcfg = McConfig(trials=trials, seed=seed, max_depth=max_depth, chunk=chunk)
-    checked = check_program(parse(src))
-    evaluator = mc_evaluator(mcfg)
-    rng = substream(seed, "mc", index)
-    out = []
-    for _ in range(size):
-        out.append(evaluator.trace(checked.term, {}, rng))
-    return index, out
+    global _worker
+    _worker = (mc_evaluator(mcfg), check_program(parse(src)).term, mcfg)
 
 
-def _direct_traces_parallel(checked: CheckedProgram, mcfg: McConfig):
-    src = pretty(checked.term)
-    tasks = [
-        (src, mcfg.seed, index, size, mcfg.trials, mcfg.max_depth, mcfg.chunk)
-        for index, size in _chunks(mcfg.trials, mcfg.chunk)
-    ]
-    results: dict[int, list] = {}
-    with ProcessPoolExecutor(max_workers=mcfg.jobs) as pool:
-        for index, out in pool.map(_mc_worker, tasks):
-            results[index] = out
-    weights: list[float] = []
-    values: list = []
-    for index in sorted(results):
-        for w, v in results[index]:
-            weights.append(w)
-            values.append(v)
-    return weights, values
+def _worker_chunk(start: int) -> list:
+    evaluator, term, mcfg = _worker
+    return _chunk(evaluator, term, {}, mcfg, ("mc",), start)
+
+
+def _pooled_traces(checked: CheckedProgram, mcfg: McConfig) -> list:
+    # nested normalization sites in a worker still run the full trial count
+    with ProcessPoolExecutor(
+        mcfg.jobs, initializer=_init_worker, initargs=(pretty(checked.term), mcfg)
+    ) as pool:
+        chunks = pool.map(_worker_chunk, range(0, mcfg.trials, CHUNK))
+        return [trace for chunk in chunks for trace in chunk]
 
 
 # ---------------------------------------------------------------------------

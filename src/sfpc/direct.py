@@ -10,8 +10,10 @@ enumerate`: each branch multiplies its probability and weight left to
 right, as the machine does, and a sample-site strategy (atoms here,
 grids in quad.py) decides how a site branches.
 
-Both share `det`. Normalization sites are delegated to a handler;
-functions and thunks are closures over the environment.
+Both share `det`. Normalization sites are delegated to a handler, and
+every backend builds its handler with `site_handler`: one memo keyed by
+`norm_site_key` and one depth guard around the backend's own normalize
+function. Functions and thunks are closures over the environment.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .dist import (
     render_point,
     sample_dist,
 )
-from .errors import NotEnumerable, StepBudgetExceeded
-from .measures import Success
+from .errors import NormDepthExceeded, NotEnumerable, StepBudgetExceeded
+from .measures import NormResult, Success
 from .printer import pretty
 from .syntax import (
     App,
@@ -252,3 +254,36 @@ def norm_site_key(norm: Norm, env: dict) -> str:
         norm._site = (pretty(norm.body), free_vars(norm.body))
     text, names = norm._site
     return f"{text}|{_describe_env(env, names)}"
+
+
+MAX_NORM_DEPTH = 8  # normalization sites nested inside one another
+
+
+def site_handler(normalize: Callable) -> Callable:
+    """The norm handler of every backend, over its
+    normalize(body, env, over, key) -> NormResult.
+
+    Sites with equal keys normalize identically, so each distinct key is
+    normalized once per handler; a site nested more than MAX_NORM_DEPTH
+    deep raises NormDepthExceeded.
+    """
+    memo: dict[str, NormResult] = {}
+    depth = 0
+
+    def handler(evaluator: DirectEvaluator, norm: Norm, env: dict) -> NormResult:
+        nonlocal depth
+        key = norm_site_key(norm, env)
+        result = memo.get(key)
+        if result is None:
+            if norm._over is None:
+                raise ValueError("norm not typed; typecheck the program first")
+            if depth >= MAX_NORM_DEPTH:
+                raise NormDepthExceeded(f"norm nesting deeper than {MAX_NORM_DEPTH}")
+            depth += 1
+            try:
+                result = memo[key] = normalize(norm.body, env, norm._over, key)
+            finally:
+                depth -= 1
+        return result
+
+    return handler

@@ -216,14 +216,12 @@ class Empirical(DistValue):
 def finite_support(entries, over: Ty) -> FiniteSupport:
     """Normalized table with duplicate points merged."""
     acc: dict = {}
-    order = []
     for p, v in entries:
         if v in acc:
             acc[v] += p
         else:
             acc[v] = p
-            order.append(v)
-    return FiniteSupport(tuple((acc[v], v) for v in order if acc[v] != 0.0), over)
+    return FiniteSupport(tuple((p, v) for v, p in acc.items() if p != 0.0), over)
 
 
 def dirac(point, over: Ty) -> FiniteSupport:
@@ -305,7 +303,6 @@ def enumerate_dist(d: DistValue):
     if isinstance(d, Empirical):
         total = math.fsum(w for w, _ in d.entries)
         merged: dict = {}
-        order = []
         for w, v in d.entries:
             if w == 0.0:
                 continue
@@ -313,8 +310,7 @@ def enumerate_dist(d: DistValue):
                 merged[v] += w
             else:
                 merged[v] = w
-                order.append(v)
-        return [(merged[v] / total, v) for v in order]
+        return [(w / total, v) for v, w in merged.items()]
     assert isinstance(d, Parametric)
     if d.kind == "bern":
         p = d.params[0]

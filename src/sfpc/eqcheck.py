@@ -26,11 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .backends import McConfig, normalize_exact, normalize_mc
+from .backends import McConfig, exact_table, normalize_exact, normalize_mc
 from .dist import DistValue, Empirical, FiniteSupport
 from .direct import DirectEvaluator
 from .measures import Success, measures_close, norm_results_close
-from .oracle import denote_program
 from .parser import parse
 from .prims import DEFAULT_REGISTRY, PrimRegistry
 from .rng import fingerprint64
@@ -137,7 +136,8 @@ def check_exact(case: EquationCase, registry: PrimRegistry = DEFAULT_REGISTRY) -
         return Verdict(case.name, "exact", False, case.expect_equal,
                        {"reason": "sides differ in type or judgement"})
     if lc.mode == "p":
-        equal = measures_close(denote_program(lc), denote_program(rc), EXACT_TOL)
+        left, right = exact_table(lc, registry), exact_table(rc, registry)
+        equal = measures_close(left, right, EXACT_TOL)
         return Verdict(case.name, "exact", equal, case.expect_equal)
     if not (isinstance(case.left, Norm) and isinstance(case.right, Norm)):
         raise ValueError(f"exact case {case.name}: deterministic sides must be norm(..)")

@@ -33,4 +33,4 @@ class TooManyContinuousSites(SfpcError):
 
 
 class NormDepthExceeded(SfpcError):
-    """Nested normalization recursed past the configured depth limit."""
+    """Nested normalization recursed past direct.MAX_NORM_DEPTH."""

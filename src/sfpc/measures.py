@@ -33,7 +33,6 @@ class WeightedMeasure:
     def merged(self) -> "WeightedMeasure":
         """Coalesce entries with identical (score, point); drops zeros."""
         acc: dict = {}
-        order = []
         for p, s, v in self.entries:
             if p == 0.0:
                 continue
@@ -42,11 +41,7 @@ class WeightedMeasure:
                 acc[key] += p
             else:
                 acc[key] = p
-                order.append(key)
-        return WeightedMeasure([(acc[k], k[0], k[1]) for k in order], self.over)
-
-    def evidence(self) -> float:
-        return math.fsum(p * s for p, s, _ in self.entries)
+        return WeightedMeasure([(p, s, v) for (s, v), p in acc.items()], self.over)
 
 
 @dataclass
@@ -61,32 +56,37 @@ class Success:
 @dataclass
 class ZeroEvidence:
     tag = 1
+    evidence = 0.0
 
 
 @dataclass
 class InfiniteEvidence:
     tag = 2
+    evidence = math.inf
 
 
 NormResult = Success | ZeroEvidence | InfiniteEvidence
 
 
-def iota(m: WeightedMeasure) -> NormResult:
-    """Normalize a weighted measure.
+def normalize_entries(entries, over: Ty) -> NormResult:
+    """Normalize (mass, score, point) entries whose masses sum to at most 1.
 
     Evidence is sum(p_i * s_i). Zero evidence and non-finite evidence are
     failure tags; otherwise the posterior puts mass p_i * s_i / evidence
     on each point, with duplicate points merged.
     """
-    evidence = m.evidence()
+    evidence = math.fsum(p * s for p, s, _ in entries)
     if evidence == 0.0:
         return ZeroEvidence()
     if not math.isfinite(evidence):
         return InfiniteEvidence()
-    posterior = finite_support(
-        ((p * s / evidence, v) for p, s, v in m.entries), m.over
-    )
+    posterior = finite_support(((p * s / evidence, v) for p, s, v in entries), over)
     return Success(evidence, posterior)
+
+
+def iota(m: WeightedMeasure) -> NormResult:
+    """Normalize a weighted measure."""
+    return normalize_entries(m.entries, m.over)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Deterministic quadrature over continuous sample sites: a sample-site
 strategy for the enumeration walk of direct.py, plus the grid geometry,
-the refinement signatures and the truncation-doubling loop.
+the refinement signatures and the truncation-doubling loop. Nested
+normalization sites go through direct.site_handler, as in every backend.
 
 Each continuous site is truncated to a range stated in prior standard
 deviations and covered by an equal-prior-mass grid of n cells, each
@@ -8,13 +9,14 @@ represented by its mass midpoint (bounded-support families use their full
 support). Cells of a let-bound sample additionally refine adaptively: a
 cell splits when the two half-cell continuations disagree in discrete
 shape with the whole-cell continuation, which pins down case/comparison
-boundaries to a 2^-depth fraction of a cell. Everything is deterministic.
+boundaries to a 2^-REFINE_DEPTH fraction of a cell. At most MAX_SITES
+continuous sites may lie on one branch. Everything is deterministic.
 
 Evidence is recomputed while doubling the truncation range; failing the
-relative Cauchy test across doublings reports infinite evidence. The
-truncated grid is a sub-probability measure; normalization scales this
-out of the posterior, and evidence approaches the true value as the
-captured prior mass does 1.
+relative Cauchy test (tolerance EPS) across doublings reports infinite
+evidence. The truncated grid is a sub-probability measure; normalization
+scales this out of the posterior, and evidence approaches the true value
+as the captured prior mass does 1.
 """
 
 from __future__ import annotations
@@ -30,14 +32,17 @@ from .dist import (
     Tagged,
     ThunkClosure,
     enumerate_dist,
-    finite_support,
 )
-from .direct import DirectEvaluator, Enumeration, Leaf
-from .errors import NormDepthExceeded, TooManyContinuousSites
-from .measures import InfiniteEvidence, NormResult, Success, ZeroEvidence
+from .direct import DirectEvaluator, Enumeration, Leaf, site_handler
+from .errors import TooManyContinuousSites
+from .measures import InfiniteEvidence, NormResult, ZeroEvidence, normalize_entries
 from .prims import DEFAULT_REGISTRY, PrimRegistry
-from .syntax import Norm, Sample, Term
+from .syntax import Sample, Term
 from .typecheck import check_probabilistic
+
+EPS = 1e-3  # relative Cauchy tolerance on evidence across doublings
+MAX_SITES = 3  # continuous sites per trace
+REFINE_DEPTH = 10  # adaptive cell splitting at shape boundaries
 
 
 @dataclass(frozen=True)
@@ -45,10 +50,6 @@ class QuadConfig:
     nodes: int = 512
     radius: float = 8.0  # in prior standard deviations per site
     doublings: int = 3
-    eps: float = 1e-3  # relative Cauchy tolerance on evidence
-    max_sites: int = 3  # continuous sites per trace
-    max_depth: int = 8  # nested normalization
-    refine_depth: int = 10  # adaptive cell splitting at shape boundaries
 
     def __post_init__(self) -> None:
         if self.nodes < 2 or self.doublings < 1:
@@ -160,9 +161,9 @@ class _QuadSites(Enumeration):
         return grid_atoms(d, self.qcfg.nodes, self.radius), self._count_site(sites)
 
     def _count_site(self, sites: int) -> int:
-        if sites + 1 > self.qcfg.max_sites:
+        if sites + 1 > MAX_SITES:
             raise TooManyContinuousSites(
-                f"more than {self.qcfg.max_sites} continuous sample sites on one trace"
+                f"more than {MAX_SITES} continuous sample sites on one trace"
             )
         return sites + 1
 
@@ -197,8 +198,7 @@ class _QuadSites(Enumeration):
         for i in range(n):
             a, b = ulo + i * cell, ulo + (i + 1) * cell
             for p, w, v, s in self._cell(
-                continue_at, a, b, edge_sigs[i], edge_sigs[i + 1],
-                self.qcfg.refine_depth,
+                continue_at, a, b, edge_sigs[i], edge_sigs[i + 1], REFINE_DEPTH
             ):
                 self.resume(rest, v, prob * p, weight * w, s, out)
         return True
@@ -219,48 +219,28 @@ class _QuadSites(Enumeration):
 # -- normalization ------------------------------------------------------------
 
 
-def _normalize_atoms(atoms: list[Leaf], over) -> tuple[float, NormResult]:
-    evidence = math.fsum(m * w for m, w, _, _ in atoms)
-    if evidence == 0.0:
-        return 0.0, ZeroEvidence()
-    if not math.isfinite(evidence):
-        return math.inf, InfiniteEvidence()
-    posterior = finite_support(
-        ((m * w / evidence, v) for m, w, v, _ in atoms), over
-    )
-    return evidence, Success(evidence, posterior)
-
-
 def _quad_normalize(t: Term, env: dict, over, qcfg: QuadConfig, norm) -> NormResult:
     evidences: list[float] = []
     result: NormResult = ZeroEvidence()
     for i in range(qcfg.doublings + 1):
         radius = qcfg.radius * (2.0**i)
-        atoms = _QuadSites(qcfg, radius, norm).leaves(t, env)
-        z, result = _normalize_atoms(atoms, over)
-        evidences.append(z)
+        leaves = _QuadSites(qcfg, radius, norm).leaves(t, env)
+        result = normalize_entries([(m, w, v) for m, w, v, _ in leaves], over)
+        evidences.append(result.evidence)
     for za, zb in zip(evidences, evidences[1:]):
-        if not math.isfinite(zb) or abs(zb - za) > qcfg.eps * abs(za):
+        if not math.isfinite(zb) or abs(zb - za) > EPS * abs(za):
             return InfiniteEvidence()
     return result
 
 
 def quad_normalizer(qcfg: QuadConfig):
-    """Handler for nested normalization sites (shared depth guard)."""
-    depth = [0]
+    """Handler for nested normalization sites."""
 
-    def norm(evaluator, node: Norm, env: dict) -> NormResult:
-        if node._over is None:
-            raise ValueError("norm not typed; typecheck the program first")
-        if depth[0] >= qcfg.max_depth:
-            raise NormDepthExceeded(f"norm nesting deeper than {qcfg.max_depth}")
-        depth[0] += 1
-        try:
-            return _quad_normalize(node.body, env, node._over, qcfg, norm)
-        finally:
-            depth[0] -= 1
+    def normalize(body: Term, env: dict, over, key: str) -> NormResult:
+        return _quad_normalize(body, env, over, qcfg, handler)
 
-    return norm
+    handler = site_handler(normalize)
+    return handler
 
 
 def normalize_quadrature(

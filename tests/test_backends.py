@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sfpc import corpus, direct
+from sfpc import backends, corpus, direct
 from sfpc.backends import (
     McConfig,
     QuadConfig,
@@ -33,6 +33,7 @@ from sfpc.oracle import denote_program
 from sfpc.parser import parse
 from sfpc.quad import grid_atoms
 from sfpc.rng import substream
+from sfpc.syntax import REAL, Norm, Return, Var
 from sfpc.typecheck import check_program
 
 TWO_POINT = corpus.checked("two_point_posterior")
@@ -46,6 +47,38 @@ EVIDENCE_CLOSED_FORM = math.exp(-25.0 / 20.0) / math.sqrt(2.0 * math.pi * 10.0)
 def posterior_mass(result, rendered: str) -> float:
     atoms = enumerate_dist(result.posterior)
     return sum(p for p, v in atoms if render_point(v, result.posterior.over) == rendered)
+
+
+def nested_norms(levels: int):
+    """score(2.0); return(*) under `levels` nested norm sites."""
+    src = "score(2.0); return(*)"
+    for _ in range(levels):
+        src = (
+            f"case norm({src}) of {{ (0, p) => score(fst(p)); return(*)"
+            " | (1, u) => return(*) | (2, u) => return(*) }"
+        )
+    return parse(src)
+
+
+def assert_depth_guard(normalize):
+    # MAX_NORM_DEPTH nested sites normalize; one more is reported
+    assert normalize(nested_norms(direct.MAX_NORM_DEPTH)).evidence == 2.0
+    with pytest.raises(NormDepthExceeded):
+        normalize(nested_norms(direct.MAX_NORM_DEPTH + 1))
+
+
+def test_site_handler_normalizes_each_site_once():
+    calls = []
+
+    def normalize(body, env, over, key):
+        calls.append(env["y"])
+        return ZeroEvidence()
+
+    handler = direct.site_handler(normalize)
+    node = Norm(Return(Var("y")), _over=REAL)
+    for i, y in enumerate((1.0, 1.0, 2.0, 1.0)):
+        assert isinstance(handler(None, node, {"y": y, "unused": i}), ZeroEvidence)
+    assert calls == [1.0, 2.0]  # only the site's free variable keys the memo
 
 
 class TestExact:
@@ -85,6 +118,9 @@ class TestExact:
         src = "".join(f"let x{i} = sample(dirac({i}.0)) in " for i in range(500))
         r = normalize_exact(parse(src + "return(x499)"))
         assert enumerate_dist(r.posterior) == [(1.0, 499.0)]
+
+    def test_nested_depth_guard(self):
+        assert_depth_guard(normalize_exact)
 
     def test_branch_budget(self, monkeypatch):
         three_coins = corpus.checked("three_coins")  # 2 + 4 + 8 branches
@@ -136,6 +172,11 @@ class TestQuadrature:
         with pytest.raises(TooManyContinuousSites):
             normalize_quadrature(prog, QuadConfig(nodes=4, doublings=1))
 
+    def test_nested_depth_guard(self):
+        assert_depth_guard(
+            lambda prog: normalize_quadrature(prog, QuadConfig(nodes=4, doublings=1))
+        )
+
     def test_grid_masses_sum_to_truncated_mass(self):
         from sfpc.dist import gauss
 
@@ -144,17 +185,6 @@ class TestQuadrature:
         total = math.fsum(m for m, _ in atoms)
         assert abs(total - 1.0) <= 1e-12  # 8 sigma captures all mass
         assert all(-8.0 <= x <= 8.0 for _, x in atoms)
-
-    def test_nested_depth_guard(self):
-        # norm(..) nested beyond the depth limit is reported
-        src = "score(2.0); return(*)"
-        for _ in range(3):
-            src = (
-                f"case norm({src}) of {{ (0, p) => score(fst(p)); return(*)"
-                " | (1, u) => return(*) | (2, u) => return(*) }"
-            )
-        with pytest.raises(NormDepthExceeded):
-            normalize_quadrature(parse(src), QuadConfig(nodes=4, doublings=1, max_depth=2))
 
 
 class TestMonteCarlo:
@@ -194,10 +224,13 @@ class TestMonteCarlo:
         b = normalize_mc(TWO_POINT, McConfig(trials=5000, seed=10))
         assert a.evidence != b.evidence
 
-    def test_parallel_matches_sequential(self):
-        seq = normalize_mc(GAUSS_COND, McConfig(trials=4000, seed=4, jobs=1))
-        par = normalize_mc(GAUSS_COND, McConfig(trials=4000, seed=4, jobs=2))
+    @pytest.mark.parametrize("name", ["gaussian_conditioning", "smc_resample_continuous"])
+    def test_parallel_matches_sequential(self, name):
+        checked = corpus.checked(name)
+        seq = normalize_mc(checked, McConfig(trials=4000, seed=4, jobs=1))
+        par = normalize_mc(checked, McConfig(trials=4000, seed=4, jobs=2))
         assert seq.evidence == par.evidence
+        assert seq.stderr == par.stderr
         assert seq.posterior == par.posterior
 
     def test_machine_engine_agrees_in_distribution(self):
@@ -207,14 +240,17 @@ class TestMonteCarlo:
         machine = Machine()
         cfg = machine.config(TWO_POINT.term, TWO_POINT.ty)
         traces = []
-        for index, start in enumerate(range(0, mcfg.trials, mcfg.chunk)):
+        for index, start in enumerate(range(0, mcfg.trials, backends.CHUNK)):
             rng = substream(mcfg.seed, "mc", index)
-            for _ in range(min(mcfg.chunk, mcfg.trials - start)):
+            for _ in range(min(backends.CHUNK, mcfg.trials - start)):
                 r = machine.eval_prob(cfg, rng)
                 traces.append((r.weight, r.point()))
         # identical streams drive identical traces
         assert direct.evidence == float(np.mean([w for w, _ in traces]))
         assert direct.posterior == Empirical([t for t in traces if t[0] > 0.0], TWO_POINT.ty)
+
+    def test_nested_depth_guard(self):
+        assert_depth_guard(lambda prog: normalize_mc(prog, McConfig(trials=10, seed=1)))
 
     def test_nested_norm_memoized_and_rescored(self):
         r = normalize_mc(corpus.checked("resample_two_point"),

@@ -29,6 +29,9 @@ def test_tracer_installs_and_uninstalls():
         # one call through each wrapped path, with its after-hook
         backends.normalize_mc(corpus.checked("resample_two_point"),
                               backends.McConfig(trials=64))
+        # pool workers, set up by their initializer, under the wrappers
+        backends.normalize_mc(corpus.checked("smc_resample_continuous"),
+                              backends.McConfig(trials=2 * backends.CHUNK + 1, jobs=2))
         backends.normalize_exact(corpus.checked("two_point_posterior"))
         quad.normalize_quadrature(corpus.checked("two_point_posterior"))
         assert "direct.trace" in tracer.names
