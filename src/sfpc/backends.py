@@ -24,13 +24,16 @@ normalization site, making the result a deterministic function of
 
 Trace streams are chunked, CHUNK traces to a chunk, each chunk drawing
 from its own derived generator, so results are identical no matter how
-chunks are scheduled. A pool worker (jobs > 1) parses the program once
-and keeps one evaluator, with its nested-site memo, for all its chunks.
+chunks are scheduled. A pool worker (jobs > 1) parses the program once,
+against the caller's registry, and keeps one evaluator, with its
+nested-site memo and compiled code, for all its chunks.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -51,7 +54,7 @@ from .measures import (
 )
 from .prims import DEFAULT_REGISTRY, PrimRegistry
 from .printer import pretty
-from .quad import QuadConfig, normalize_quadrature, quad_normalizer
+from .quad import QuadConfig, normalize_quadrature, quad_evaluator
 from .rng import substream
 from .syntax import Norm, is_measurable
 from .typecheck import CheckedProgram, check_probabilistic, check_program
@@ -168,11 +171,12 @@ def _traces(evaluator: DirectEvaluator, t, env: dict, mcfg: McConfig, *key) -> l
 _worker: tuple = ()  # a pool process's (evaluator, term, McConfig)
 
 
-def _init_worker(src: str, mcfg: McConfig) -> None:
+def _init_worker(src: str, mcfg: McConfig, registry: PrimRegistry | None) -> None:
     from .parser import parse
 
     global _worker
-    _worker = (mc_evaluator(mcfg), check_program(parse(src)).term, mcfg)
+    term = check_program(parse(src), registry or DEFAULT_REGISTRY).term
+    _worker = (mc_evaluator(mcfg), term, mcfg)
 
 
 def _worker_chunk(start: int) -> list:
@@ -180,10 +184,32 @@ def _worker_chunk(start: int) -> list:
     return _chunk(evaluator, term, {}, mcfg, ("mc",), start)
 
 
+def _worker_registry(registry: PrimRegistry, start_method: str) -> PrimRegistry | None:
+    """The registry a pool worker is handed: None for the default one,
+    which every worker has. Unless workers are forked, a registry reaches
+    them pickled, so one that cannot be pickled fails here."""
+    if registry is DEFAULT_REGISTRY:
+        return None
+    if start_method != "fork":
+        try:
+            pickle.dumps(registry)
+        except (pickle.PicklingError, AttributeError, TypeError) as e:
+            raise ValueError(
+                f"this registry cannot be sent to {start_method} pool workers"
+                f" ({e}); run with jobs=1"
+            ) from None
+    return registry
+
+
 def _pooled_traces(checked: CheckedProgram, mcfg: McConfig) -> list:
     # nested normalization sites in a worker still run the full trial count
+    context = multiprocessing.get_context()
+    registry = _worker_registry(checked.registry, context.get_start_method())
     with ProcessPoolExecutor(
-        mcfg.jobs, initializer=_init_worker, initargs=(pretty(checked.term), mcfg)
+        mcfg.jobs,
+        mp_context=context,
+        initializer=_init_worker,
+        initargs=(pretty(checked.term), mcfg, registry),
     ) as pool:
         chunks = pool.map(_worker_chunk, range(0, mcfg.trials, CHUNK))
         return [trace for chunk in chunks for trace in chunk]
@@ -204,7 +230,7 @@ def _machine_nu(evaluator: DirectEvaluator):
 
 
 def machine_nu_quad(qcfg: QuadConfig = QuadConfig()):
-    return _machine_nu(DirectEvaluator(norm_handler=quad_normalizer(qcfg)))
+    return _machine_nu(quad_evaluator(qcfg))
 
 
 def machine_nu_mc(mcfg: McConfig = McConfig()):

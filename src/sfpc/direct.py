@@ -1,9 +1,11 @@
 """Environment-passing big-step evaluation, the engine of all three
 normalization backends.
 
-`DirectEvaluator.trace` draws one weighted trace without rewriting terms,
-an order of magnitude faster than stepping the machine; Monte Carlo and
-the statistical equation checker run on it, and the test suite checks it
+`DirectEvaluator` compiles each term into nested Python closures (Feeley
+and Lapalme, "Using closures for code generation", 1987), compiled once
+per evaluator and run for every trace after that. `DirectEvaluator.trace`
+draws one weighted trace without rewriting terms; Monte Carlo and the
+statistical equation checker run on it, and the test suite checks it
 against Machine.eval_prob trace by trace. `Enumeration` walks every
 branch instead, for exact and quadrature normalization and `sfpc
 enumerate`: each branch multiplies its probability and weight left to
@@ -59,81 +61,189 @@ from .syntax import (
 )
 
 
+_UNSET = object()
+
+
 class DirectEvaluator:
-    """norm_handler(evaluator, norm_node, env) -> NormResult."""
+    """Compiles each term once into nested closures and runs them.
+
+    A deterministic term compiles to f(env) -> value and a probabilistic
+    one to g(env, rng, weight) -> (weight, value). Compiled code is cached
+    per evaluator, keyed by node, so a term is compiled on its first run
+    and only its closures run after that.
+
+    norm_handler(evaluator, norm_node, env) -> NormResult.
+    """
 
     def __init__(self, norm_handler: Callable | None = None):
         self.norm_handler = norm_handler
+        self._code: dict[int, Callable] = {}
+        self._nodes: list[Term] = []  # keeps every cached id alive
 
     def det(self, t: Term, env: dict):
-        match t:
-            case Var(name):
-                return env[name]
-            case Star():
-                return UNIT_POINT
-            case Pair(a, b):
-                return (self.det(a, env), self.det(b, env))
-            case Proj(index, body):
-                return self.det(body, env)[index]
-            case Inj(tag, body, _):
-                return Tagged(tag, self.det(body, env))
-            case CaseD(scrut, arms):
-                sv = self.det(scrut, env)
-                arm = arms[sv.tag]
-                return self.det(arm.body, {**env, arm.var: sv.payload})
-            case Prim(_, arg):
-                if t._sig is None:
-                    raise ValueError("primitive not resolved; typecheck first")
-                return t._sig.fn(self.det(arg, env))
-            case Norm():
-                if self.norm_handler is None:
-                    raise ValueError("no normalizer configured for this evaluator")
-                result = self.norm_handler(self, t, env)
-                if isinstance(result, Success):
-                    return Tagged(0, (result.evidence, result.posterior))
-                return Tagged(result.tag, UNIT_POINT)
-            case Lam(var, _, body):
-                return LamClosure(var, body, env)
-            case App(fun, arg):
-                fv = self.det(fun, env)
-                av = self.det(arg, env)
-                return self.det(fv.body, {**fv.env, fv.var: av})
-            case ThunkT(body):
-                return ThunkClosure(body, env)
-        raise AssertionError(f"not a deterministic term: {t!r}")
+        return self.code(t)(env)
 
     def trace(self, t: Term, env: dict, rng: np.random.Generator):
         """One weighted run: returns (weight, value)."""
-        weight = 1.0
-        # let spines iterate instead of recursing, so long chains stay flat
-        while True:
-            match t:
-                case Return(body):
-                    return weight, self.det(body, env)
-                case Let(var, bound, body):
-                    w, a = self.trace(bound, env, rng)
-                    weight *= w
-                    env = {**env, var: a}
-                    t = body
-                case CaseP(scrut, arms):
-                    sv = self.det(scrut, env)
-                    arm = arms[sv.tag]
-                    env = {**env, arm.var: sv.payload}
-                    t = arm.body
-                case Sample(body):
-                    d = self.det(body, env)
-                    assert isinstance(d, DistValue)
-                    return weight, sample_dist(d, rng)
-                case Score(body):
-                    s = self.det(body, env)
+        return self.code(t)(env, rng, 1.0)
+
+    def code(self, t: Term) -> Callable:
+        """The compiled code of t, compiled on first use."""
+        f = self._code.get(id(t))
+        if f is None:
+            f = self._code[id(t)] = self._compile(t)
+            self._nodes.append(t)
+        return f
+
+    def _compile(self, t: Term) -> Callable:
+        code = self.code
+        match t:
+            case Var(name):
+                return lambda env: env[name]
+            case Star():
+                return lambda env: UNIT_POINT
+            case Pair(a, b):
+                fa, fb = code(a), code(b)
+                return lambda env: (fa(env), fb(env))
+            case Proj(index, body):
+                fb = code(body)
+                return lambda env: fb(env)[index]
+            case Inj(tag, body, _):
+                fb = code(body)
+                return lambda env: Tagged(tag, fb(env))
+            case CaseD(scrut, arms) | CaseP(scrut, arms):
+                return self._case(scrut, arms, isinstance(t, CaseP))
+            case Prim(_, arg):
+                return self._prim(t, arg)
+            case Norm():
+                return self._norm(t)
+            case Lam(var, _, body):
+                return lambda env: LamClosure(var, body, env)
+            case App(fun, arg):
+                ff, fa = code(fun), code(arg)
+
+                def app(env):
+                    fv = ff(env)
+                    av = fa(env)
+                    return code(fv.body)({**fv.env, fv.var: av})
+
+                return app
+            case ThunkT(body):
+                return lambda env: ThunkClosure(body, env)
+            case Return(body):
+                fb = code(body)
+                return lambda env, rng, weight: (weight, fb(env))
+            case Let():
+                return self._let_spine(t)
+            case Sample(body):
+                fb = code(body)
+                return lambda env, rng, weight: (weight, sample_dist(fb(env), rng))
+            case Score(body):
+                fb = code(body)
+
+                def score(env, rng, weight):
+                    s = fb(env)
                     return weight * (s if s > 0.0 else 0.0), UNIT_POINT
-                case Force(body):
-                    tv = self.det(body, env)
-                    assert isinstance(tv, ThunkClosure)
-                    env = tv.env
-                    t = tv.body
-                case _:
-                    raise AssertionError(f"not a probabilistic term: {t!r}")
+
+                return score
+            case Force(body):
+                fb = code(body)
+
+                def force(env, rng, weight):
+                    tv = fb(env)
+                    return code(tv.body)(tv.env, rng, weight)
+
+                return force
+        raise AssertionError(f"not a term: {t!r}")
+
+    def _case(self, scrut: Term, arms, probabilistic: bool) -> Callable:
+        fs = self.code(scrut)
+        compiled = [(arm.var, self.code(arm.body)) for arm in arms]
+        if probabilistic:
+
+            def case_p(env, rng, weight):
+                sv = fs(env)
+                var, g = compiled[sv.tag]
+                return g({**env, var: sv.payload}, rng, weight)
+
+            return case_p
+
+        def case_d(env):
+            sv = fs(env)
+            var, f = compiled[sv.tag]
+            return f({**env, var: sv.payload})
+
+        return case_d
+
+    def _prim(self, t: Prim, arg: Term) -> Callable:
+        if t._sig is None:
+            raise ValueError("primitive not resolved; typecheck first")
+        fn, farg = t._sig.fn, self.code(arg)
+        if not _closed_literal(arg):
+            return lambda env: fn(farg(env))
+        # hoisted: computed on the first run, never at compile time, so a
+        # primitive that raises raises only where it is evaluated
+        value = _UNSET
+
+        def hoisted(env):
+            nonlocal value
+            if value is _UNSET:
+                value = fn(farg(env))
+            return value
+
+        return hoisted
+
+    def _norm(self, t: Norm) -> Callable:
+        def norm(env):
+            if self.norm_handler is None:
+                raise ValueError("no normalizer configured for this evaluator")
+            result = self.norm_handler(self, t, env)
+            if isinstance(result, Success):
+                return Tagged(0, (result.evidence, result.posterior))
+            return Tagged(result.tag, UNIT_POINT)
+
+        return norm
+
+    def _let_spine(self, t: Let) -> Callable:
+        """A let spine runs as one loop, however long. Each bound runs from
+        weight 1 and its weight multiplies in after, so products keep their
+        left-to-right order.
+
+        Each run copies its environment once and then adds bindings in
+        place. A closure made earlier in the spine may hold that dict, but
+        it only reads the names free in its body, which were bound when it
+        was made; so a binding that would replace a name gets a new dict."""
+        steps = []
+        while isinstance(t, Let):
+            steps.append((t.var, self.code(t.bound)))
+            t = t.body
+        tail = self.code(t)
+
+        def let_spine(env, rng, weight):
+            env = dict(env)
+            for var, bound in steps:
+                w, value = bound(env, rng, 1.0)
+                weight *= w
+                if var in env:
+                    env = {**env, var: value}
+                else:
+                    env[var] = value
+            return tail(env, rng, weight)
+
+        return let_spine
+
+
+def _closed_literal(t: Term) -> bool:
+    """True for terms built from primitives, units, pairs, injections and
+    projections alone: their value is the same on every run."""
+    match t:
+        case Star():
+            return True
+        case Prim(_, body) | Proj(_, body) | Inj(_, body, _):
+            return _closed_literal(body)
+        case Pair(a, b):
+            return _closed_literal(a) and _closed_literal(b)
+    return False
 
 
 ENUM_BUDGET = 2_000_000  # sample-site branches one exact enumeration may take

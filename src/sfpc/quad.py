@@ -149,8 +149,8 @@ class _QuadSites(Enumeration):
     """The enumeration walk at one truncation radius: continuous sites
     branch into grid cells, and the cells of a let-bound site refine."""
 
-    def __init__(self, qcfg: QuadConfig, radius: float, norm):
-        super().__init__(DirectEvaluator(norm_handler=norm))
+    def __init__(self, qcfg: QuadConfig, radius: float, evaluator: DirectEvaluator):
+        super().__init__(evaluator)
         self.qcfg = qcfg
         self.radius = radius
 
@@ -219,12 +219,14 @@ class _QuadSites(Enumeration):
 # -- normalization ------------------------------------------------------------
 
 
-def _quad_normalize(t: Term, env: dict, over, qcfg: QuadConfig, norm) -> NormResult:
+def _quad_normalize(
+    t: Term, env: dict, over, qcfg: QuadConfig, evaluator: DirectEvaluator
+) -> NormResult:
     evidences: list[float] = []
     result: NormResult = ZeroEvidence()
     for i in range(qcfg.doublings + 1):
         radius = qcfg.radius * (2.0**i)
-        leaves = _QuadSites(qcfg, radius, norm).leaves(t, env)
+        leaves = _QuadSites(qcfg, radius, evaluator).leaves(t, env)
         result = normalize_entries([(m, w, v) for m, w, v, _ in leaves], over)
         evidences.append(result.evidence)
     for za, zb in zip(evidences, evidences[1:]):
@@ -233,18 +235,20 @@ def _quad_normalize(t: Term, env: dict, over, qcfg: QuadConfig, norm) -> NormRes
     return result
 
 
-def quad_normalizer(qcfg: QuadConfig):
-    """Handler for nested normalization sites."""
+def quad_evaluator(qcfg: QuadConfig) -> DirectEvaluator:
+    """Big-step evaluator whose normalization sites run quadrature; one
+    evaluator, so one compiled form, serves every radius and nested site."""
+    evaluator = DirectEvaluator()
 
     def normalize(body: Term, env: dict, over, key: str) -> NormResult:
-        return _quad_normalize(body, env, over, qcfg, handler)
+        return _quad_normalize(body, env, over, qcfg, evaluator)
 
-    handler = site_handler(normalize)
-    return handler
+    evaluator.norm_handler = site_handler(normalize)
+    return evaluator
 
 
 def normalize_quadrature(
     prog, qcfg: QuadConfig = QuadConfig(), registry: PrimRegistry = DEFAULT_REGISTRY
 ) -> NormResult:
     checked = check_probabilistic(prog, registry)
-    return _quad_normalize(checked.term, {}, checked.ty, qcfg, quad_normalizer(qcfg))
+    return _quad_normalize(checked.term, {}, checked.ty, qcfg, quad_evaluator(qcfg))

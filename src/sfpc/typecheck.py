@@ -169,9 +169,12 @@ def infer(mode: str, ctx: TyCtx, t: Term, registry: PrimRegistry = DEFAULT_REGIS
             return ThunkTy(infer("p", ctx, body, registry))
         case Return(body):
             return infer("d", ctx, body, registry)
-        case Let(var, bound, body):
-            bty = infer("p", ctx, bound, registry)
-            return infer("p", ctx.extend(var, bty), body, registry)
+        case Let():
+            # a let spine is checked in a loop, so long chains do not recurse
+            while isinstance(t, Let):
+                ctx = ctx.extend(t.var, infer("p", ctx, t.bound, registry))
+                t = t.body
+            return infer("p", ctx, t, registry)
         case Sample(body):
             ty = infer("d", ctx, body, registry)
             if not isinstance(ty, ProbTy):

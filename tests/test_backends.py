@@ -31,6 +31,7 @@ from sfpc.measures import (
 )
 from sfpc.oracle import denote_program
 from sfpc.parser import parse
+from sfpc.prims import DEFAULT_REGISTRY, register_default_prims
 from sfpc.quad import grid_atoms
 from sfpc.rng import substream
 from sfpc.syntax import REAL, Norm, Return, Var
@@ -232,6 +233,22 @@ class TestMonteCarlo:
         assert seq.evidence == par.evidence
         assert seq.stderr == par.stderr
         assert seq.posterior == par.posterior
+
+    def test_parallel_uses_the_callers_registry(self):
+        reg = register_default_prims()
+        reg.register("twice", REAL, REAL, lambda x: 2.0 * x)
+        prog = parse("let x = sample(gauss(0.0, 1.0)) in return(twice(x))")
+        seq = normalize_mc(prog, McConfig(trials=3000, seed=7, jobs=1), reg)
+        par = normalize_mc(prog, McConfig(trials=3000, seed=7, jobs=2), reg)
+        assert (seq.evidence, seq.stderr) == (par.evidence, par.stderr)
+        assert seq.posterior == par.posterior
+
+    def test_registry_that_cannot_reach_workers_fails_first(self):
+        reg = register_default_prims()  # its primitives are lambdas
+        with pytest.raises(ValueError, match="jobs=1"):
+            backends._worker_registry(reg, "spawn")
+        assert backends._worker_registry(reg, "fork") is reg  # inherited, not pickled
+        assert backends._worker_registry(DEFAULT_REGISTRY, "spawn") is None
 
     def test_machine_engine_agrees_in_distribution(self):
         mcfg = McConfig(trials=20_000, seed=5)

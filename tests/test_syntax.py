@@ -130,11 +130,11 @@ class TestAlphaEquality:
 
 
 @st.composite
-def simple_values(draw):
-    depth = draw(st.integers(0, 2))
+def simple_values(draw, max_depth=2):
+    depth = draw(st.integers(0, max_depth))
     if depth == 0:
         return draw(st.sampled_from([Star(), TRUE, Inj(0, Star(), BOOL)]))
-    return Pair(draw(simple_values()), draw(simple_values()))
+    return Pair(draw(simple_values(depth - 1)), draw(simple_values(depth - 1)))
 
 
 @given(simple_values(), simple_values())
