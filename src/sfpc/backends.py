@@ -1,11 +1,11 @@
-"""Normalization backends: exact enumeration, deterministic quadrature,
-and Monte Carlo, all on the big-step evaluator of direct.py and all
-handling nested normalization sites with `direct.site_handler`. The
-machine is the paper's operational semantics; `machine_nu_*` hand its
-nested normalization sites (in `sfpc run`) to these backends.
+"""Normalization backends: exact enumeration, deterministic quadrature
+and Monte Carlo, each a sample-site strategy for the compiled evaluator
+of direct.py, and all handling nested normalization sites with
+`direct.site_handler`. The machine is the paper's operational semantics;
+`machine_nu_*` hand its nested sites (in `sfpc run`) to these backends.
 
-Exact: enumerate the program's (weight, value) outcomes with the
-enumeration walk, merge them into the canonical outcome table, and
+Exact: enumerate the program's (weight, value) outcomes with
+`direct.AtomSites`, merge them into the canonical outcome table, and
 normalize; available whenever every reachable sample site has countable
 support. Its zero-evidence verdict is definitive.
 
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .direct import DirectEvaluator, Enumeration, site_handler
+from .direct import AtomSites, DirectEvaluator, SampleSites, site_handler
 from .dist import Empirical
 from .errors import HigherOrderUnsupported
 from .machine import Config, Machine
@@ -99,7 +99,7 @@ def exact_table(prog, registry: PrimRegistry = DEFAULT_REGISTRY) -> WeightedMeas
     evaluator = DirectEvaluator()
 
     def measure(t, env: dict, over) -> WeightedMeasure:
-        leaves = Enumeration(evaluator).leaves(t, env)
+        leaves = evaluator.leaves(t, env, AtomSites())
         m = WeightedMeasure([(p, w, v) for p, w, v, _ in leaves], over)
         return WeightedMeasure(canonical(m), over)
 
@@ -155,9 +155,9 @@ def mc_evaluator(mcfg: McConfig) -> DirectEvaluator:
 def _chunk(evaluator: DirectEvaluator, t, env: dict, mcfg: McConfig, key, start: int):
     """The (weight, value) traces of t from trace `start` to the end of its
     chunk, drawn from substream(seed, *key, start // CHUNK)."""
-    rng = substream(mcfg.seed, *key, start // CHUNK)
+    sites = SampleSites(substream(mcfg.seed, *key, start // CHUNK))
     size = min(CHUNK, mcfg.trials - start)
-    return [evaluator.trace(t, env, rng) for _ in range(size)]
+    return [evaluator.trace(t, env, sites) for _ in range(size)]
 
 
 def _traces(evaluator: DirectEvaluator, t, env: dict, mcfg: McConfig, *key) -> list:

@@ -1,25 +1,26 @@
-"""Environment-passing big-step evaluation, the engine of all three
-normalization backends.
+"""Environment-passing big-step evaluation, the one evaluator of all
+three normalization backends.
 
-`DirectEvaluator` compiles each term into nested Python closures (Feeley
-and Lapalme, "Using closures for code generation", 1987), compiled once
-per evaluator and run for every trace after that. `DirectEvaluator.trace`
-draws one weighted trace without rewriting terms; Monte Carlo and the
-statistical equation checker run on it, and the test suite checks it
-against Machine.eval_prob trace by trace. `Enumeration` walks every
-branch instead, for exact and quadrature normalization and `sfpc
-enumerate`: each branch multiplies its probability and weight left to
-right, as the machine does, and a sample-site strategy (atoms here,
-grids in quad.py) decides how a site branches.
+`DirectEvaluator` compiles each term once into nested Python closures
+(Feeley and Lapalme, "Using closures for code generation", 1987),
+compiled once per evaluator and run for every trace or enumeration after
+that. A compiled probabilistic term takes a sample-site strategy, and
+the strategy alone decides how a site branches: `SampleSites` draws one
+point (Monte Carlo and the statistical equation checker, through
+`DirectEvaluator.trace`), `AtomSites` takes every atom (exact
+normalization and `sfpc enumerate`, through `DirectEvaluator.leaves`),
+and quad.py's grid takes quadrature cells. The test suite checks `trace`
+against Machine.eval_prob trace by trace.
 
-Both share `det`. Normalization sites are delegated to a handler, and
-every backend builds its handler with `site_handler`: one memo keyed by
-`norm_site_key` and one depth guard around the backend's own normalize
-function. Functions and thunks are closures over the environment.
+Normalization sites are delegated to a handler, and every backend builds
+its handler with `site_handler`: one memo keyed by `norm_site_key` and
+one depth guard around the backend's own normalize function. Functions
+and thunks are closures over the environment.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -63,14 +64,17 @@ from .syntax import (
 
 _UNSET = object()
 
+Leaf = tuple  # (probability, weight, value, continuous sites used)
+
 
 class DirectEvaluator:
     """Compiles each term once into nested closures and runs them.
 
     A deterministic term compiles to f(env) -> value and a probabilistic
-    one to g(env, rng, weight) -> (weight, value). Compiled code is cached
-    per evaluator, keyed by node, so a term is compiled on its first run
-    and only its closures run after that.
+    one to g(env, sites, prob, weight, n), which goes on with a branch and
+    returns its Leaf, or a list of them where a site of the strategy
+    `sites` branches. Code is cached per evaluator, keyed by node, so a
+    term is compiled on its first run and only its closures run after it.
 
     norm_handler(evaluator, norm_node, env) -> NormResult.
     """
@@ -83,9 +87,15 @@ class DirectEvaluator:
     def det(self, t: Term, env: dict):
         return self.code(t)(env)
 
-    def trace(self, t: Term, env: dict, rng: np.random.Generator):
+    def trace(self, t: Term, env: dict, sites: SampleSites):
         """One weighted run: returns (weight, value)."""
-        return self.code(t)(env, rng, 1.0)
+        f = self._code.get(id(t)) or self.code(t)  # skips a call per trace
+        _, weight, value, _ = f(env, sites, 1.0, 1.0, 0)
+        return weight, value
+
+    def leaves(self, t: Term, env: dict, sites) -> list[Leaf]:
+        """Every branch of t under a branching strategy."""
+        return leaf_list(self.code(t)(env, sites, 1.0, 1.0, 0))
 
     def code(self, t: Term) -> Callable:
         """The compiled code of t, compiled on first use."""
@@ -132,26 +142,28 @@ class DirectEvaluator:
                 return lambda env: ThunkClosure(body, env)
             case Return(body):
                 fb = code(body)
-                return lambda env, rng, weight: (weight, fb(env))
+                return lambda env, sites, prob, weight, n: (prob, weight, fb(env), n)
             case Let():
                 return self._let_spine(t)
             case Sample(body):
                 fb = code(body)
-                return lambda env, rng, weight: (weight, sample_dist(fb(env), rng))
+                return lambda env, sites, prob, weight, n: sites.sample(
+                    fb(env), prob, weight, n
+                )
             case Score(body):
                 fb = code(body)
 
-                def score(env, rng, weight):
+                def score(env, sites, prob, weight, n):
                     s = fb(env)
-                    return weight * (s if s > 0.0 else 0.0), UNIT_POINT
+                    return prob, weight * (s if s > 0.0 else 0.0), UNIT_POINT, n
 
                 return score
             case Force(body):
                 fb = code(body)
 
-                def force(env, rng, weight):
+                def force(env, sites, prob, weight, n):
                     tv = fb(env)
-                    return code(tv.body)(tv.env, rng, weight)
+                    return code(tv.body)(tv.env, sites, prob, weight, n)
 
                 return force
         raise AssertionError(f"not a term: {t!r}")
@@ -161,10 +173,10 @@ class DirectEvaluator:
         compiled = [(arm.var, self.code(arm.body)) for arm in arms]
         if probabilistic:
 
-            def case_p(env, rng, weight):
+            def case_p(env, sites, prob, weight, n):
                 sv = fs(env)
                 var, g = compiled[sv.tag]
-                return g({**env, var: sv.payload}, rng, weight)
+                return g({**env, var: sv.payload}, sites, prob, weight, n)
 
             return case_p
 
@@ -206,31 +218,71 @@ class DirectEvaluator:
 
     def _let_spine(self, t: Let) -> Callable:
         """A let spine runs as one loop, however long. Each bound runs from
-        weight 1 and its weight multiplies in after, so products keep their
-        left-to-right order.
+        probability and weight 1 and multiplies in after, a score in the
+        loop itself; the tail goes on from the current values. A let-bound
+        sample site goes to the strategy, which may refine it with the rest
+        of the spine. Each leaf of a branching bound goes on in its own call.
 
-        Each run copies its environment once and then adds bindings in
-        place. A closure made earlier in the spine may hold that dict, but
-        it only reads the names free in its body, which were bound when it
-        was made; so a binding that would replace a name gets a new dict."""
-        steps = []
+        A run copies its environment once and then adds bindings in place.
+        A closure made earlier in the spine may hold that dict, but it only
+        reads the names free in its body, which were bound when it was
+        made; so a binding that would replace a name gets a new dict."""
+        steps = []  # (var, Score, Sample or None for any other bound, code, next)
         while isinstance(t, Let):
-            steps.append((t.var, self.code(t.bound)))
+            kind = type(t.bound) if isinstance(t.bound, (Score, Sample)) else None
+            f = self.code(t.bound if kind is None else t.bound.body)
+            steps.append((t.var, kind, f, len(steps) + 1))
             t = t.body
         tail = self.code(t)
 
-        def let_spine(env, rng, weight):
-            env = dict(env)
-            for var, bound in steps:
-                w, value = bound(env, rng, 1.0)
-                weight *= w
+        def let_spine(env, sites, prob, weight, n, i=0):
+            """The spine from step i; past step 0, env is this run's own."""
+            if i:
+                todo = steps[i:]
+            else:
+                todo, env = steps, dict(env)
+            for var, kind, f, k in todo:
+                if kind is Score:
+                    s = f(env)
+                    weight *= s if s > 0.0 else 0.0
+                    value = UNIT_POINT
+                else:
+                    if kind is None:
+                        r = f(env, sites, 1.0, 1.0, n)
+                    else:
+                        d = f(env)
+                        if sites.refine is not None:
+                            rest = partial(fork, env, var, sites, k, 1.0, 1.0)
+                            leaves = sites.refine(d, rest, prob, weight, n)
+                            if leaves is not None:
+                                return leaves
+                        r = sites.sample(d, 1.0, 1.0, n)
+                    if type(r) is list:
+                        if len(r) > 1:
+                            return fork(env, var, sites, k, prob, weight, r)
+                        r = r[0]  # a lone atom goes on in the loop
+                    p, w, value, n = r
+                    prob *= p
+                    weight *= w
                 if var in env:
                     env = {**env, var: value}
                 else:
                     env[var] = value
-            return tail(env, rng, weight)
+            return tail(env, sites, prob, weight, n)
+
+        # Branches go on outside let_spine: a comprehension or closure in it
+        # would turn its locals into cells, which slows every trace.
+        def fork(env, var, sites, i, prob, weight, leaves) -> list[Leaf]:
+            """Each leaf's value bound to var, the spine from step i on."""
+            return [leaf for p, w, value, m in leaves for leaf in leaf_list(
+                let_spine({**env, var: value}, sites, prob * p, weight * w, m, i))]
 
         return let_spine
+
+
+def leaf_list(r) -> list[Leaf]:
+    """A compiled term's result, one leaf or a list of them, as a list."""
+    return r if type(r) is list else [r]
 
 
 def _closed_literal(t: Term) -> bool:
@@ -246,124 +298,74 @@ def _closed_literal(t: Term) -> bool:
     return False
 
 
+# A sample-site strategy has sample(d, prob, weight, n), the leaf or leaves of
+# one site, and refine: None, or refine(d, rest, prob, weight, n), which may
+# take a let-bound site; rest(leaves) goes on with the spine from each leaf.
+
 ENUM_BUDGET = 2_000_000  # sample-site branches one exact enumeration may take
 
-Leaf = tuple  # (probability, weight, value, continuous sites used)
+
+class SampleSites:
+    """Monte Carlo: a sample site draws one point from rng."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.refine = None  # on the instance, where each trace reads it fastest
+
+    def sample(self, d: DistValue, prob, weight, n):
+        return prob, weight, sample_dist(d, self.rng), n
 
 
-class Enumeration:
-    """Every branch of a probabilistic term, as a list of leaves.
+class AtomSites:
+    """Exact enumeration: a sample site branches into the atoms of its
+    distribution, within ENUM_BUDGET branches."""
 
-    A branch's pending let bodies form a linked stack of frames
-    (var, body, env, rest). Let spines and the last atom of each sample
-    site continue in a loop, so only a site's other atoms recurse. This
-    class is the exact strategy: a sample site branches into the atoms of
-    its distribution, within ENUM_BUDGET branches.
-    """
-
-    def __init__(self, evaluator: DirectEvaluator):
-        self.det = evaluator.det
+    def __init__(self):
         self.branches = 0
+        self.refine = None
 
-    def leaves(self, t: Term, env: dict) -> list[Leaf]:
-        out: list[Leaf] = []
-        self.walk(t, env, None, 1.0, 1.0, 0, out)
-        return out
-
-    def walk(self, t: Term, env: dict, frames, prob, weight, sites, out) -> None:
-        while True:
-            match t:
-                case Let(var, bound, rest):
-                    frames = (var, rest, env, frames)
-                    if isinstance(bound, Sample) and self.let_sample(
-                        bound, frames, prob, weight, sites, out
-                    ):
-                        return
-                    t = bound
-                    continue
-                case CaseP(scrut, arms):
-                    sv = self.det(scrut, env)
-                    arm = arms[sv.tag]
-                    env = {**env, arm.var: sv.payload}
-                    t = arm.body
-                    continue
-                case Force(body):
-                    tv = self.det(body, env)
-                    assert isinstance(tv, ThunkClosure)
-                    env = tv.env
-                    t = tv.body
-                    continue
-                case Sample(body):
-                    atoms, sites = self.atoms(self.det(body, env), sites)
-                    for q, v in atoms[:-1]:
-                        self.resume(frames, v, prob * q, weight, sites, out)
-                    q, value = atoms[-1]
-                    prob *= q
-                case Return(body):
-                    value = self.det(body, env)
-                case Score(body):
-                    s = self.det(body, env)
-                    weight *= s if s > 0.0 else 0.0
-                    value = UNIT_POINT
-                case _:
-                    raise AssertionError(f"not a probabilistic term: {t!r}")
-            if frames is None:
-                out.append((prob, weight, value, sites))
-                return
-            var, t, env, frames = frames
-            env = {**env, var: value}
-
-    def resume(self, frames, value, prob, weight, sites, out) -> None:
-        """Continue a branch whose current term has returned value."""
-        if frames is None:
-            out.append((prob, weight, value, sites))
-        else:
-            var, body, env, rest = frames
-            self.walk(body, {**env, var: value}, rest, prob, weight, sites, out)
-
-    def atoms(self, d: DistValue, sites: int) -> tuple[list, int]:
-        """The site's (mass, point) branches and the new site count."""
+    def sample(self, d: DistValue, prob, weight, n):
         atoms = enumerate_dist(d)
         if atoms is None:
             raise NotEnumerable(d)
         self.branches += len(atoms)
         if self.branches > ENUM_BUDGET:
             raise StepBudgetExceeded(f"enumeration exceeded {ENUM_BUDGET} branches")
-        return atoms, sites
-
-    def let_sample(self, bound: Sample, frames, prob, weight, sites, out) -> bool:
-        """True when the strategy took over a let-bound sample site."""
-        return False
+        return [(prob * q, weight, v, n) for q, v in atoms]
 
 
-def describe_value(v) -> str:
-    """Stable text form of a runtime value, used for derived seeds."""
-    if isinstance(v, LamClosure):
-        captured = _describe_env(v.env, free_vars(v.body) - {v.var})
-        return f"λ{v.var}.{pretty(v.body)}[{captured}]"
-    if isinstance(v, ThunkClosure):
-        captured = _describe_env(v.env, free_vars(v.body))
-        return f"thunk.{pretty(v.body)}[{captured}]"
+def describe_value(v, bodies: dict) -> str:
+    """Stable text form of a runtime value, used for derived seeds. A
+    closure body is printed and walked once: bodies caches its text and
+    free variables by node."""
+    if isinstance(v, (LamClosure, ThunkClosure)):
+        entry = bodies.get(id(v.body))
+        if entry is None:  # holds the body, so no other node takes its id
+            entry = bodies[id(v.body)] = (pretty(v.body), free_vars(v.body), v.body)
+        text, names, _ = entry
+        if isinstance(v, LamClosure):
+            return f"λ{v.var}.{text}[{_describe_env(v.env, names - {v.var}, bodies)}]"
+        return f"thunk.{text}[{_describe_env(v.env, names, bodies)}]"
     if isinstance(v, DistValue):
         return dist_describe(v)
     if isinstance(v, tuple) and v:
-        return f"({describe_value(v[0])}, {describe_value(v[1])})"
+        return f"({describe_value(v[0], bodies)}, {describe_value(v[1], bodies)})"
     if isinstance(v, Tagged):
-        return f"({v.tag}, {describe_value(v.payload)})"
+        return f"({v.tag}, {describe_value(v.payload, bodies)})"
     return render_point(v)
 
 
-def _describe_env(env: dict, names) -> str:
-    return ",".join(f"{n}={describe_value(env[n])}" for n in sorted(names))
+def _describe_env(env: dict, names, bodies: dict) -> str:
+    return ",".join(f"{n}={describe_value(env[n], bodies)}" for n in sorted(names))
 
 
 def norm_site_key(norm: Norm, env: dict) -> str:
     """Fingerprint of a normalization site: the body plus the values of its
     free variables. Two sites with equal keys normalize identically."""
     if norm._site is None:  # the body's text and free variables, once per node
-        norm._site = (pretty(norm.body), free_vars(norm.body))
-    text, names = norm._site
-    return f"{text}|{_describe_env(env, names)}"
+        norm._site = (pretty(norm.body), free_vars(norm.body), {})
+    text, names, bodies = norm._site
+    return f"{text}|{_describe_env(env, names, bodies)}"
 
 
 MAX_NORM_DEPTH = 8  # normalization sites nested inside one another

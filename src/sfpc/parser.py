@@ -225,19 +225,37 @@ class _Parser:
     # -- terms ------------------------------------------------------------
 
     def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "kw" and tok.text == "let":
+        """A spine of `let`s and `;`s parses in a loop, however long."""
+        spine: list[tuple[str, Term]] = []
+        scoped = len(self.scope)
+        while True:
+            tok = self.peek()
+            if tok.kind == "kw" and tok.text == "let":
+                self.next()
+                name = self.expect("ident", "identifier").text
+                self.expect("=")
+                bound = self.term()
+                self.expect_kw("in")
+                self.scope.append(name)
+                spine.append((name, bound))
+                continue
+            if tok.kind == "lam" or (tok.kind == "kw" and tok.text in ("case", "if")):
+                t = self.binder(tok)
+                break
+            t = self.cmp()
+            if self.peek().kind != ";":
+                break
             self.next()
-            name = self.expect("ident", "identifier").text
-            self.expect("=")
-            bound = self.term()
-            self.expect_kw("in")
-            self.scope.append(name)
-            body = self.term()
-            self.scope.pop()
-            return Let(name, bound, body)
-        if tok.kind == "kw" and tok.text == "case":
-            self.next()
+            spine.append(("_", t))
+        del self.scope[scoped:]
+        for name, bound in reversed(spine):
+            t = Let(name, bound, t)
+        return t
+
+    def binder(self, tok: Token) -> Term:
+        """case, if and lambda, whose bodies run to the end of the term."""
+        self.next()
+        if tok.text == "case":
             scrut = self.term()
             self.expect_kw("of")
             self.expect("{")
@@ -247,8 +265,7 @@ class _Parser:
                 return make_case(scrut, arms)
             except ValueError as e:
                 raise SfpcSyntaxError(str(e), tok.line, tok.col, origin=self.origin)
-        if tok.kind == "kw" and tok.text == "if":
-            self.next()
+        if tok.text == "if":
             scrut = self.term()
             self.expect_kw("then")
             then = self.term()
@@ -258,17 +275,14 @@ class _Parser:
                 return make_case(scrut, (Arm("_", other), Arm("_", then)))
             except ValueError as e:
                 raise SfpcSyntaxError(str(e), tok.line, tok.col, origin=self.origin)
-        if tok.kind == "lam":
-            self.next()
-            name = self.expect("ident", "identifier").text
-            self.expect(":")
-            ann = self.type()
-            self.expect(".")
-            self.scope.append(name)
-            body = self.term()
-            self.scope.pop()
-            return Lam(name, ann, body)
-        return self.seq()
+        name = self.expect("ident", "identifier").text
+        self.expect(":")
+        ann = self.type()
+        self.expect(".")
+        self.scope.append(name)
+        body = self.term()
+        self.scope.pop()
+        return Lam(name, ann, body)
 
     def arms(self) -> tuple[Arm, ...]:
         arms = []
@@ -298,14 +312,6 @@ class _Parser:
             if self.peek().kind != "|":
                 return tuple(arms)
             self.next()
-
-    def seq(self) -> Term:
-        left = self.cmp()
-        if self.peek().kind == ";":
-            self.next()
-            right = self.term()
-            return Let("_", left, right)
-        return left
 
     def cmp(self) -> Term:
         left = self.add()

@@ -98,12 +98,8 @@ def _pp(t: Term, minimum: int) -> str:
             return _paren(f"λ{var} : {ty_str(ann)}. {_pp(body, 0)}", 0, minimum)
         case App(fun, arg):
             return _paren(f"{_pp(fun, 5)} ({_pp(arg, 0)})", 5, minimum)
-        case Let("_", bound, body) if "_" not in free_vars(body):
-            return _paren(f"{_pp(bound, 2)}; {_pp(body, 1)}", 1, minimum)
-        case Let(var, bound, body):
-            return _paren(
-                f"let {var} = {_pp(bound, 0)} in {_pp(body, 0)}", 0, minimum
-            )
+        case Let():
+            return _pp_spine(t, minimum)
         case CaseD(scrut, arms) | CaseP(scrut, arms):
             if (
                 len(arms) == 2
@@ -124,3 +120,33 @@ def _pp(t: Term, minimum: int) -> str:
             if kw is not None:
                 return f"{kw}({_pp(t.body, 0)})"
     raise AssertionError(f"cannot print {t!r}")
+
+
+def _pp_spine(t: Let, minimum: int) -> str:
+    """A spine of lets prints in a loop, however long. `t; u` stands for
+    `let _ = t in u` when u does not use `_`; whether it does is found for
+    the whole spine in one pass from its end."""
+    spine = []
+    while isinstance(t, Let):
+        spine.append(t)
+        t = t.body
+    seq = []  # whether each let prints as `;`
+    used = "_" in free_vars(t)  # `_` free in the body of the let at hand
+    for node in reversed(spine):
+        seq.append(node.var == "_" and not used)
+        used = "_" in free_vars(node.bound) or (used and node.var != "_")
+    seq.reverse()
+    parts = []
+    opened = 0
+    for node, is_seq in zip(spine, seq):
+        level = 1 if is_seq else 0
+        if level < minimum:
+            parts.append("(")
+            opened += 1
+        if is_seq:
+            parts.append(f"{_pp(node.bound, 2)}; ")
+        else:
+            parts.append(f"let {node.var} = {_pp(node.bound, 0)} in ")
+        minimum = level
+    parts.append(_pp(t, minimum) + ")" * opened)
+    return "".join(parts)

@@ -1,5 +1,5 @@
 """Deterministic quadrature over continuous sample sites: a sample-site
-strategy for the enumeration walk of direct.py, plus the grid geometry,
+strategy for the compiled evaluator of direct.py, plus the grid geometry,
 the refinement signatures and the truncation-doubling loop. Nested
 normalization sites go through direct.site_handler, as in every backend.
 
@@ -7,10 +7,11 @@ Each continuous site is truncated to a range stated in prior standard
 deviations and covered by an equal-prior-mass grid of n cells, each
 represented by its mass midpoint (bounded-support families use their full
 support). Cells of a let-bound sample additionally refine adaptively: a
-cell splits when the two half-cell continuations disagree in discrete
-shape with the whole-cell continuation, which pins down case/comparison
-boundaries to a 2^-REFINE_DEPTH fraction of a cell. At most MAX_SITES
-continuous sites may lie on one branch. Everything is deterministic.
+cell splits when the two half-cell continuations (the rest of the let
+spine) disagree in discrete shape with the whole-cell continuation, which
+pins down case/comparison boundaries to a 2^-REFINE_DEPTH fraction of a
+cell. At most MAX_SITES continuous sites, counted across let bounds and
+forced thunks, may lie on one branch. Everything is deterministic.
 
 Evidence is recomputed while doubling the truncation range; failing the
 relative Cauchy test (tolerance EPS) across doublings reports infinite
@@ -33,11 +34,11 @@ from .dist import (
     ThunkClosure,
     enumerate_dist,
 )
-from .direct import DirectEvaluator, Enumeration, Leaf, site_handler
+from .direct import DirectEvaluator, Leaf, site_handler
 from .errors import TooManyContinuousSites
 from .measures import InfiniteEvidence, NormResult, ZeroEvidence, normalize_entries
 from .prims import DEFAULT_REGISTRY, PrimRegistry
-from .syntax import Sample, Term
+from .syntax import Term
 from .typecheck import check_probabilistic
 
 EPS = 1e-3  # relative Cauchy tolerance on evidence across doublings
@@ -109,16 +110,20 @@ def _site_quantile(d: Parametric, u: float) -> float:
     raise AssertionError(kind)
 
 
-def grid_atoms(d: Parametric, nodes: int, radius: float) -> list[tuple[float, float]]:
-    """(prior mass, node) pairs of the truncated equal-mass midpoint grid."""
+def _grid(d: Parametric, nodes: int, radius: float) -> tuple[float, float]:
+    """The prior cdf at the low end of the truncated range, and the prior
+    mass of each of its `nodes` equal cells."""
     lo, hi = _site_bounds(d, radius)
     ulo, uhi = _site_cdf(d, lo), _site_cdf(d, hi)
     if not uhi > ulo:
         raise ValueError(f"degenerate quadrature range for {d!r}")
-    cell = (uhi - ulo) / nodes
-    return [
-        (cell, _site_quantile(d, ulo + (i + 0.5) * cell)) for i in range(nodes)
-    ]
+    return ulo, (uhi - ulo) / nodes
+
+
+def grid_atoms(d: Parametric, nodes: int, radius: float) -> list[tuple[float, float]]:
+    """(prior mass, node) pairs of the truncated equal-mass midpoint grid."""
+    ulo, cell = _grid(d, nodes, radius)
+    return [(cell, _site_quantile(d, ulo + (i + 0.5) * cell)) for i in range(nodes)]
 
 
 # -- signatures: the discrete shape of a continuation's outcomes -------------
@@ -145,63 +150,54 @@ def _signature(atoms) -> tuple:
 # -- the sample-site strategy ------------------------------------------------
 
 
-class _QuadSites(Enumeration):
-    """The enumeration walk at one truncation radius: continuous sites
-    branch into grid cells, and the cells of a let-bound site refine."""
+class _GridSites:
+    """Quadrature at one truncation radius: a discrete site branches into
+    its atoms, a continuous one into grid cells, and the cells of a
+    let-bound continuous site refine."""
 
-    def __init__(self, qcfg: QuadConfig, radius: float, evaluator: DirectEvaluator):
-        super().__init__(evaluator)
+    def __init__(self, qcfg: QuadConfig, radius: float):
         self.qcfg = qcfg
         self.radius = radius
 
-    def atoms(self, d: DistValue, sites: int) -> tuple[list, int]:
+    def sample(self, d: DistValue, prob, weight, n):
         atoms = enumerate_dist(d)
-        if atoms is not None:
-            return atoms, sites
-        return grid_atoms(d, self.qcfg.nodes, self.radius), self._count_site(sites)
+        if atoms is None:
+            atoms = grid_atoms(d, self.qcfg.nodes, self.radius)
+            n = self._count_site(n)
+        return [(prob * q, weight, v, n) for q, v in atoms]
 
-    def _count_site(self, sites: int) -> int:
-        if sites + 1 > MAX_SITES:
+    def _count_site(self, n: int) -> int:
+        if n + 1 > MAX_SITES:
             raise TooManyContinuousSites(
                 f"more than {MAX_SITES} continuous sample sites on one trace"
             )
-        return sites + 1
+        return n + 1
 
-    def let_sample(self, bound: Sample, frames, prob, weight, sites, out) -> bool:
-        var, body, env, rest = frames
-        d = self.det(bound.body, env)
+    def refine(self, d: DistValue, rest, prob, weight, n) -> list[Leaf] | None:
+        """The leaves of a let-bound continuous site and the rest of its
+        spine, or None for a discrete site."""
         if enumerate_dist(d) is not None:
-            return False
-        sites = self._count_site(sites)
-        lo, hi = _site_bounds(d, self.radius)
-        ulo, uhi = _site_cdf(d, lo), _site_cdf(d, hi)
-        if not uhi > ulo:
-            raise ValueError(f"degenerate quadrature range for {d!r}")
-        n = self.qcfg.nodes
-        cell = (uhi - ulo) / n
-        let_body = (var, body, env, None)
+            return None
+        n = self._count_site(n)
+        nodes = self.qcfg.nodes
+        ulo, cell = _grid(d, nodes, self.radius)
 
         def continue_at(u: float, mass: float) -> list[Leaf]:
-            """Leaves of the let body alone at the point of quantile u. They
-            start from weight 1, so signatures see the body's own zero
+            """Leaves of the rest alone at the point of quantile u. They
+            start from weight 1, so signatures see the rest's own zero
             weights; the branch's prefix multiplies in when a leaf is kept."""
-            leaves: list[Leaf] = []
-            self.resume(let_body, _site_quantile(d, u), mass, 1.0, sites, leaves)
-            return leaves
+            return rest([(mass, 1.0, _site_quantile(d, u), n)])
 
-        # Signatures at the n+1 cell edges locate shape changes exactly
+        # Signatures at the nodes+1 cell edges locate shape changes exactly
         # (up to multiple crossings inside one cell); each flagged cell
         # bisects toward the crossing.
         edge_sigs = [
-            _signature(continue_at(ulo + i * cell, 1.0)) for i in range(n + 1)
+            _signature(continue_at(ulo + i * cell, 1.0)) for i in range(nodes + 1)
         ]
-        for i in range(n):
-            a, b = ulo + i * cell, ulo + (i + 1) * cell
-            for p, w, v, s in self._cell(
-                continue_at, a, b, edge_sigs[i], edge_sigs[i + 1], REFINE_DEPTH
-            ):
-                self.resume(rest, v, prob * p, weight * w, s, out)
-        return True
+        cells = (self._cell(continue_at, ulo + i * cell, ulo + (i + 1) * cell,
+                            edge_sigs[i], edge_sigs[i + 1], REFINE_DEPTH)
+                 for i in range(nodes))
+        return [(prob * p, weight * w, v, s) for leaves in cells for p, w, v, s in leaves]
 
     def _cell(self, continue_at, a, b, sig_a, sig_b, depth: int) -> list[Leaf]:
         """Leaves at the midpoint of the cell [a, b], bisected while the
@@ -226,7 +222,7 @@ def _quad_normalize(
     result: NormResult = ZeroEvidence()
     for i in range(qcfg.doublings + 1):
         radius = qcfg.radius * (2.0**i)
-        leaves = _QuadSites(qcfg, radius, evaluator).leaves(t, env)
+        leaves = evaluator.leaves(t, env, _GridSites(qcfg, radius))
         result = normalize_entries([(m, w, v) for m, w, v, _ in leaves], over)
         evidences.append(result.evidence)
     for za, zb in zip(evidences, evidences[1:]):

@@ -13,7 +13,7 @@ from sfpc.backends import (
     normalize_mc,
     normalize_quadrature,
 )
-from sfpc.direct import DirectEvaluator
+from sfpc.direct import DirectEvaluator, SampleSites
 from sfpc.dist import Empirical, enumerate_dist, render_point
 from sfpc.errors import (
     NormDepthExceeded,
@@ -165,13 +165,19 @@ class TestQuadrature:
         assert abs(r.evidence - 0.25) <= 1e-3
 
     def test_too_many_continuous_sites(self):
-        prog = parse(
+        two_sites = ("let x = sample(gauss(0.0, 1.0)) in"
+                     " let y = sample(gauss(0.0, 1.0)) in return(x + y)")
+        for src in (
             "let a = sample(gauss(0.0, 1.0)) in let b = sample(gauss(0.0, 1.0)) in"
             " let c = sample(gauss(0.0, 1.0)) in let d = sample(gauss(0.0, 1.0)) in"
-            " return(a + b + c + d < 0.0)"
-        )
-        with pytest.raises(TooManyContinuousSites):
-            normalize_quadrature(prog, QuadConfig(nodes=4, doublings=1))
+            " return(a + b + c + d < 0.0)",
+            # the count goes on across forced thunks and nested let bounds
+            f"let t = return(thunk({two_sites})) in"
+            " let a = force(t) in let b = force(t) in return(a + b < 0.0)",
+            f"let a = ({two_sites}) in let b = ({two_sites}) in return(a + b < 0.0)",
+        ):
+            with pytest.raises(TooManyContinuousSites):
+                normalize_quadrature(parse(src), QuadConfig(nodes=4, doublings=1))
 
     def test_nested_depth_guard(self):
         assert_depth_guard(
@@ -289,6 +295,6 @@ class TestEngineEquivalence:
             cfg = machine.config(checked.term, checked.ty)
             for i in range(150):
                 a = machine.eval_prob(cfg, substream(13, name, i))
-                w, v = direct.trace(checked.term, {}, substream(13, name, i))
+                w, v = direct.trace(checked.term, {}, SampleSites(substream(13, name, i)))
                 assert a.weight == w
                 assert render_point(a.point(), checked.ty) == render_point(v, checked.ty)

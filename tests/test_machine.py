@@ -273,7 +273,7 @@ class TestInvariants:
     def test_shadowed_binders_across_engines(self, machine):
         """Inner bindings shadow outer ones identically in the machine,
         the big-step evaluator, and the compositional semantics."""
-        from sfpc.direct import DirectEvaluator
+        from sfpc.direct import DirectEvaluator, SampleSites
         from sfpc.oracle import denote_program
         from sfpc.typecheck import check_program
 
@@ -295,7 +295,7 @@ class TestInvariants:
         cfg = machine.config(checked.term, checked.ty)
         for i in range(40):
             a = machine.eval_prob(cfg, substream(21, i))
-            w, v = direct.trace(checked.term, {}, substream(21, i))
+            w, v = direct.trace(checked.term, {}, SampleSites(substream(21, i)))
             assert render_point(a.point(), checked.ty) == render_point(v, checked.ty)
 
     def test_nan_score_clamps_to_zero(self, machine):
