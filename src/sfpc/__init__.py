@@ -32,7 +32,6 @@ from .errors import (
     NotEnumerable,
     SfpcError,
     StepBudgetExceeded,
-    TooManyContinuousSites,
 )
 from .eqcheck import EquationCase, Probe, builtin_corpus, check_exact, check_statistical
 from .machine import Config, Machine, StepOutcome, WeightedResult
@@ -78,7 +77,6 @@ __all__ = [
     "StepOutcome",
     "Success",
     "Term",
-    "TooManyContinuousSites",
     "Ty",
     "TyCtx",
     "TypeCheckError",

@@ -99,8 +99,7 @@ def exact_table(prog, registry: PrimRegistry = DEFAULT_REGISTRY) -> WeightedMeas
     evaluator = DirectEvaluator()
 
     def measure(t, env: dict, over) -> WeightedMeasure:
-        leaves = evaluator.leaves(t, env, AtomSites())
-        m = WeightedMeasure([(p, w, v) for p, w, v, _ in leaves], over)
+        m = WeightedMeasure(evaluator.leaves(t, env, AtomSites()), over)
         return WeightedMeasure(canonical(m), over)
 
     evaluator.norm_handler = site_handler(

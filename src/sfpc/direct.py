@@ -64,14 +64,14 @@ from .syntax import (
 
 _UNSET = object()
 
-Leaf = tuple  # (probability, weight, value, continuous sites used)
+Leaf = tuple  # (probability, weight, value): a measure entry
 
 
 class DirectEvaluator:
     """Compiles each term once into nested closures and runs them.
 
     A deterministic term compiles to f(env) -> value and a probabilistic
-    one to g(env, sites, prob, weight, n), which goes on with a branch and
+    one to g(env, sites, prob, weight), which goes on with a branch and
     returns its Leaf, or a list of them where a site of the strategy
     `sites` branches. Code is cached per evaluator, keyed by node, so a
     term is compiled on its first run and only its closures run after it.
@@ -90,12 +90,12 @@ class DirectEvaluator:
     def trace(self, t: Term, env: dict, sites: SampleSites):
         """One weighted run: returns (weight, value)."""
         f = self._code.get(id(t)) or self.code(t)  # skips a call per trace
-        _, weight, value, _ = f(env, sites, 1.0, 1.0, 0)
+        _, weight, value = f(env, sites, 1.0, 1.0)
         return weight, value
 
     def leaves(self, t: Term, env: dict, sites) -> list[Leaf]:
         """Every branch of t under a branching strategy."""
-        return leaf_list(self.code(t)(env, sites, 1.0, 1.0, 0))
+        return leaf_list(self.code(t)(env, sites, 1.0, 1.0))
 
     def code(self, t: Term) -> Callable:
         """The compiled code of t, compiled on first use."""
@@ -142,28 +142,26 @@ class DirectEvaluator:
                 return lambda env: ThunkClosure(body, env)
             case Return(body):
                 fb = code(body)
-                return lambda env, sites, prob, weight, n: (prob, weight, fb(env), n)
+                return lambda env, sites, prob, weight: (prob, weight, fb(env))
             case Let():
                 return self._let_spine(t)
             case Sample(body):
                 fb = code(body)
-                return lambda env, sites, prob, weight, n: sites.sample(
-                    fb(env), prob, weight, n
-                )
+                return lambda env, sites, prob, weight: sites.sample(fb(env), prob, weight)
             case Score(body):
                 fb = code(body)
 
-                def score(env, sites, prob, weight, n):
+                def score(env, sites, prob, weight):
                     s = fb(env)
-                    return prob, weight * (s if s > 0.0 else 0.0), UNIT_POINT, n
+                    return prob, weight * (s if s > 0.0 else 0.0), UNIT_POINT
 
                 return score
             case Force(body):
                 fb = code(body)
 
-                def force(env, sites, prob, weight, n):
+                def force(env, sites, prob, weight):
                     tv = fb(env)
-                    return code(tv.body)(tv.env, sites, prob, weight, n)
+                    return code(tv.body)(tv.env, sites, prob, weight)
 
                 return force
         raise AssertionError(f"not a term: {t!r}")
@@ -173,10 +171,10 @@ class DirectEvaluator:
         compiled = [(arm.var, self.code(arm.body)) for arm in arms]
         if probabilistic:
 
-            def case_p(env, sites, prob, weight, n):
+            def case_p(env, sites, prob, weight):
                 sv = fs(env)
                 var, g = compiled[sv.tag]
-                return g({**env, var: sv.payload}, sites, prob, weight, n)
+                return g({**env, var: sv.payload}, sites, prob, weight)
 
             return case_p
 
@@ -235,7 +233,7 @@ class DirectEvaluator:
             t = t.body
         tail = self.code(t)
 
-        def let_spine(env, sites, prob, weight, n, i=0):
+        def let_spine(env, sites, prob, weight, i=0):
             """The spine from step i; past step 0, env is this run's own."""
             if i:
                 todo = steps[i:]
@@ -248,34 +246,34 @@ class DirectEvaluator:
                     value = UNIT_POINT
                 else:
                     if kind is None:
-                        r = f(env, sites, 1.0, 1.0, n)
+                        r = f(env, sites, 1.0, 1.0)
                     else:
                         d = f(env)
                         if sites.refine is not None:
                             rest = partial(fork, env, var, sites, k, 1.0, 1.0)
-                            leaves = sites.refine(d, rest, prob, weight, n)
+                            leaves = sites.refine(d, rest, prob, weight)
                             if leaves is not None:
                                 return leaves
-                        r = sites.sample(d, 1.0, 1.0, n)
+                        r = sites.sample(d, 1.0, 1.0)
                     if type(r) is list:
                         if len(r) > 1:
                             return fork(env, var, sites, k, prob, weight, r)
                         r = r[0]  # a lone atom goes on in the loop
-                    p, w, value, n = r
+                    p, w, value = r
                     prob *= p
                     weight *= w
                 if var in env:
                     env = {**env, var: value}
                 else:
                     env[var] = value
-            return tail(env, sites, prob, weight, n)
+            return tail(env, sites, prob, weight)
 
         # Branches go on outside let_spine: a comprehension or closure in it
         # would turn its locals into cells, which slows every trace.
         def fork(env, var, sites, i, prob, weight, leaves) -> list[Leaf]:
             """Each leaf's value bound to var, the spine from step i on."""
-            return [leaf for p, w, value, m in leaves for leaf in leaf_list(
-                let_spine({**env, var: value}, sites, prob * p, weight * w, m, i))]
+            return [leaf for p, w, value in leaves for leaf in leaf_list(
+                let_spine({**env, var: value}, sites, prob * p, weight * w, i))]
 
         return let_spine
 
@@ -298,11 +296,13 @@ def _closed_literal(t: Term) -> bool:
     return False
 
 
-# A sample-site strategy has sample(d, prob, weight, n), the leaf or leaves of
-# one site, and refine: None, or refine(d, rest, prob, weight, n), which may
+# A sample-site strategy has sample(d, prob, weight), the leaf or leaves of
+# one site, and refine: None, or refine(d, rest, prob, weight), which may
 # take a let-bound site; rest(leaves) goes on with the spine from each leaf.
+# Exact and quadrature branch, and each instance of their strategies counts
+# its branches against ENUM_BUDGET.
 
-ENUM_BUDGET = 2_000_000  # sample-site branches one exact enumeration may take
+ENUM_BUDGET = 2_000_000  # sample-site branches one strategy instance may take
 
 
 class SampleSites:
@@ -312,8 +312,8 @@ class SampleSites:
         self.rng = rng
         self.refine = None  # on the instance, where each trace reads it fastest
 
-    def sample(self, d: DistValue, prob, weight, n):
-        return prob, weight, sample_dist(d, self.rng), n
+    def sample(self, d: DistValue, prob, weight):
+        return prob, weight, sample_dist(d, self.rng)
 
 
 class AtomSites:
@@ -324,14 +324,25 @@ class AtomSites:
         self.branches = 0
         self.refine = None
 
-    def sample(self, d: DistValue, prob, weight, n):
+    def sample(self, d: DistValue, prob, weight):
         atoms = enumerate_dist(d)
         if atoms is None:
-            raise NotEnumerable(d)
-        self.branches += len(atoms)
+            atoms = self.continuous(d)
+        else:  # charge() inline: exact enumeration's hottest call
+            self.branches += len(atoms)
+            if self.branches > ENUM_BUDGET:
+                raise StepBudgetExceeded(f"enumeration exceeded {ENUM_BUDGET} branches")
+        return [(prob * q, weight, v) for q, v in atoms]
+
+    def continuous(self, d: DistValue) -> list:
+        """The (mass, point) branches of a site with no countable support,
+        charged before they are built."""
+        raise NotEnumerable(d)
+
+    def charge(self, branches: int) -> None:
+        self.branches += branches
         if self.branches > ENUM_BUDGET:
             raise StepBudgetExceeded(f"enumeration exceeded {ENUM_BUDGET} branches")
-        return [(prob * q, weight, v, n) for q, v in atoms]
 
 
 def describe_value(v, bodies: dict) -> str:

@@ -20,16 +20,13 @@ class NotEnumerable(SfpcError):
 
 
 class StepBudgetExceeded(SfpcError):
-    """Evaluation ran past the configured step budget; this indicates an
-    implementation bug, not a feature of the language."""
+    """A run went past its cost bound: the machine's step budget, or the
+    sample-site branches (direct.ENUM_BUDGET) of exact enumeration or
+    quadrature."""
 
 
 class HigherOrderUnsupported(SfpcError):
     """A function or thunk value would have to enter a measure."""
-
-
-class TooManyContinuousSites(SfpcError):
-    """Quadrature supports a bounded number of continuous sites per trace."""
 
 
 class NormDepthExceeded(SfpcError):

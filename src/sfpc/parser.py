@@ -31,7 +31,10 @@ leading natural-number tag and a sum-type ascription, (i, t) : S, is an
 injection; true and false abbreviate the two injections into bool. Line
 comments start with '#'. Parsing either returns a term or raises
 SfpcSyntaxError with position and expected-token information; it never
-inspects types.
+inspects types. A program nests at most MAX_NESTING levels deep, so that
+parsing and every later tree walk stay within Python's recursion limit:
+the whole program is one level, and each term inside a parenthesis, call,
+let bound, arm or body, and each type, adds one.
 """
 
 from __future__ import annotations
@@ -183,6 +186,7 @@ def _lex(text: str, origin: str) -> list[Token]:
 
 
 _KWCALL_NAMES = set(_KWCALLS) | {"fst", "snd"}
+MAX_NESTING = 100  # levels of nested terms and types
 
 
 class _Parser:
@@ -191,6 +195,13 @@ class _Parser:
         self.pos = 0
         self.origin = origin
         self.scope: list[str] = []
+        self.depth = 0
+
+    def nest(self) -> None:
+        """Enter one more level, or fail at the token that starts it."""
+        if self.depth >= MAX_NESTING:
+            self.fail(f"nested more than {MAX_NESTING} levels deep")
+        self.depth += 1
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -226,6 +237,7 @@ class _Parser:
 
     def term(self) -> Term:
         """A spine of `let`s and `;`s parses in a loop, however long."""
+        self.nest()
         spine: list[tuple[str, Term]] = []
         scoped = len(self.scope)
         while True:
@@ -250,6 +262,7 @@ class _Parser:
         del self.scope[scoped:]
         for name, bound in reversed(spine):
             t = Let(name, bound, t)
+        self.depth -= 1
         return t
 
     def binder(self, tok: Token) -> Term:
@@ -354,9 +367,15 @@ class _Parser:
         if tok.kind == "num":
             self.next()
             return Prim(repr(float(tok.text)), Star())
-        if tok.kind == "-":
-            self.next()
-            return Prim("neg", self.atom())
+        if tok.kind == "-":  # a run of prefix minuses parses in a loop
+            negs = 0
+            while self.peek().kind == "-":
+                self.next()
+                negs += 1
+            t = self.atom()
+            for _ in range(negs):
+                t = Prim("neg", t)
+            return t
         if tok.kind == "*":
             self.next()
             return Star()
@@ -431,10 +450,12 @@ class _Parser:
     # -- types ------------------------------------------------------------
 
     def type(self) -> Ty:
+        self.nest()
         left = self.sumty()
         if self.peek().kind == "->":
             self.next()
-            return FunTy(left, self.type())
+            left = FunTy(left, self.type())
+        self.depth -= 1
         return left
 
     def sumty(self) -> Ty:

@@ -10,8 +10,10 @@ support). Cells of a let-bound sample additionally refine adaptively: a
 cell splits when the two half-cell continuations (the rest of the let
 spine) disagree in discrete shape with the whole-cell continuation, which
 pins down case/comparison boundaries to a 2^-REFINE_DEPTH fraction of a
-cell. At most MAX_SITES continuous sites, counted across let bounds and
-forced thunks, may lie on one branch. Everything is deterministic.
+cell. Cells count as branches against direct.ENUM_BUDGET, as exact
+enumeration's atoms do, one budget to a truncation radius: a continuous
+site charges its nodes before it builds or probes its grid, and each
+bisection one more. Everything is deterministic.
 
 Evidence is recomputed while doubling the truncation range; failing the
 relative Cauchy test (tolerance EPS) across doublings reports infinite
@@ -34,15 +36,13 @@ from .dist import (
     ThunkClosure,
     enumerate_dist,
 )
-from .direct import DirectEvaluator, Leaf, site_handler
-from .errors import TooManyContinuousSites
+from .direct import AtomSites, DirectEvaluator, Leaf, site_handler
 from .measures import InfiniteEvidence, NormResult, ZeroEvidence, normalize_entries
 from .prims import DEFAULT_REGISTRY, PrimRegistry
 from .syntax import Term
 from .typecheck import check_probabilistic
 
 EPS = 1e-3  # relative Cauchy tolerance on evidence across doublings
-MAX_SITES = 3  # continuous sites per trace
 REFINE_DEPTH = 10  # adaptive cell splitting at shape boundaries
 
 
@@ -144,49 +144,41 @@ def _shape(v) -> object:
 
 
 def _signature(atoms) -> tuple:
-    return tuple(sorted(repr((_shape(v), s == 0.0)) for _, s, v, _ in atoms))
+    return tuple(sorted(repr((_shape(v), s == 0.0)) for _, s, v in atoms))
 
 
 # -- the sample-site strategy ------------------------------------------------
 
 
-class _GridSites:
+class _GridSites(AtomSites):
     """Quadrature at one truncation radius: a discrete site branches into
     its atoms, a continuous one into grid cells, and the cells of a
     let-bound continuous site refine."""
 
     def __init__(self, qcfg: QuadConfig, radius: float):
+        super().__init__()
         self.qcfg = qcfg
         self.radius = radius
+        self.refine = self._refine
 
-    def sample(self, d: DistValue, prob, weight, n):
-        atoms = enumerate_dist(d)
-        if atoms is None:
-            atoms = grid_atoms(d, self.qcfg.nodes, self.radius)
-            n = self._count_site(n)
-        return [(prob * q, weight, v, n) for q, v in atoms]
+    def continuous(self, d: DistValue) -> list[tuple[float, float]]:
+        self.charge(self.qcfg.nodes)
+        return grid_atoms(d, self.qcfg.nodes, self.radius)
 
-    def _count_site(self, n: int) -> int:
-        if n + 1 > MAX_SITES:
-            raise TooManyContinuousSites(
-                f"more than {MAX_SITES} continuous sample sites on one trace"
-            )
-        return n + 1
-
-    def refine(self, d: DistValue, rest, prob, weight, n) -> list[Leaf] | None:
+    def _refine(self, d: DistValue, rest, prob, weight) -> list[Leaf] | None:
         """The leaves of a let-bound continuous site and the rest of its
         spine, or None for a discrete site."""
         if enumerate_dist(d) is not None:
             return None
-        n = self._count_site(n)
         nodes = self.qcfg.nodes
+        self.charge(nodes)
         ulo, cell = _grid(d, nodes, self.radius)
 
         def continue_at(u: float, mass: float) -> list[Leaf]:
             """Leaves of the rest alone at the point of quantile u. They
             start from weight 1, so signatures see the rest's own zero
             weights; the branch's prefix multiplies in when a leaf is kept."""
-            return rest([(mass, 1.0, _site_quantile(d, u), n)])
+            return rest([(mass, 1.0, _site_quantile(d, u))])
 
         # Signatures at the nodes+1 cell edges locate shape changes exactly
         # (up to multiple crossings inside one cell); each flagged cell
@@ -197,7 +189,7 @@ class _GridSites:
         cells = (self._cell(continue_at, ulo + i * cell, ulo + (i + 1) * cell,
                             edge_sigs[i], edge_sigs[i + 1], REFINE_DEPTH)
                  for i in range(nodes))
-        return [(prob * p, weight * w, v, s) for leaves in cells for p, w, v, s in leaves]
+        return [(prob * p, weight * w, v) for leaves in cells for p, w, v in leaves]
 
     def _cell(self, continue_at, a, b, sig_a, sig_b, depth: int) -> list[Leaf]:
         """Leaves at the midpoint of the cell [a, b], bisected while the
@@ -205,6 +197,7 @@ class _GridSites:
         down = continue_at((a + b) / 2.0, b - a)
         sig_mid = _signature(down)
         if depth > 0 and not (sig_a == sig_mid == sig_b):
+            self.charge(1)  # one cell becomes two
             mid = (a + b) / 2.0
             return self._cell(continue_at, a, mid, sig_a, sig_mid, depth - 1) + (
                 self._cell(continue_at, mid, b, sig_mid, sig_b, depth - 1)
@@ -222,8 +215,7 @@ def _quad_normalize(
     result: NormResult = ZeroEvidence()
     for i in range(qcfg.doublings + 1):
         radius = qcfg.radius * (2.0**i)
-        leaves = evaluator.leaves(t, env, _GridSites(qcfg, radius))
-        result = normalize_entries([(m, w, v) for m, w, v, _ in leaves], over)
+        result = normalize_entries(evaluator.leaves(t, env, _GridSites(qcfg, radius)), over)
         evidences.append(result.evidence)
     for za, zb in zip(evidences, evidences[1:]):
         if not math.isfinite(zb) or abs(zb - za) > EPS * abs(za):

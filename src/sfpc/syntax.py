@@ -376,8 +376,15 @@ def free_vars(t: Term) -> frozenset[str]:
             return free_vars(body)
         case Lam(var, _, body):
             return free_vars(body) - {var}
-        case Let(var, bound, body):
-            return free_vars(bound) | (free_vars(body) - {var})
+        case Let():  # a spine loops, however long
+            spine = []
+            while isinstance(t, Let):
+                spine.append(t)
+                t = t.body
+            out = free_vars(t)
+            for step in reversed(spine):
+                out = free_vars(step.bound) | (out - {step.var})
+            return out
         case CaseD(scrut, arms) | CaseP(scrut, arms):
             out = free_vars(scrut)
             for arm in arms:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sfpc import backends, corpus, direct
+from sfpc import backends, corpus, direct, quad
 from sfpc.backends import (
     McConfig,
     QuadConfig,
@@ -15,12 +15,7 @@ from sfpc.backends import (
 )
 from sfpc.direct import DirectEvaluator, SampleSites
 from sfpc.dist import Empirical, enumerate_dist, render_point
-from sfpc.errors import (
-    NormDepthExceeded,
-    NotEnumerable,
-    StepBudgetExceeded,
-    TooManyContinuousSites,
-)
+from sfpc.errors import NormDepthExceeded, NotEnumerable, StepBudgetExceeded
 from sfpc.machine import Machine
 from sfpc.measures import (
     InfiniteEvidence,
@@ -164,20 +159,42 @@ class TestQuadrature:
         )
         assert abs(r.evidence - 0.25) <= 1e-3
 
-    def test_too_many_continuous_sites(self):
+    def test_four_sites_through_thunks_and_bounds(self):
+        # no cap on continuous sites: the branch budget bounds the cost
         two_sites = ("let x = sample(gauss(0.0, 1.0)) in"
                      " let y = sample(gauss(0.0, 1.0)) in return(x + y)")
-        for src in (
-            "let a = sample(gauss(0.0, 1.0)) in let b = sample(gauss(0.0, 1.0)) in"
-            " let c = sample(gauss(0.0, 1.0)) in let d = sample(gauss(0.0, 1.0)) in"
-            " return(a + b + c + d < 0.0)",
-            # the count goes on across forced thunks and nested let bounds
+        forms = (
             f"let t = return(thunk({two_sites})) in"
             " let a = force(t) in let b = force(t) in return(a + b < 0.0)",
             f"let a = ({two_sites}) in let b = ({two_sites}) in return(a + b < 0.0)",
-        ):
-            with pytest.raises(TooManyContinuousSites):
-                normalize_quadrature(parse(src), QuadConfig(nodes=4, doublings=1))
+        )
+        results = [normalize_quadrature(parse(src), QuadConfig(nodes=4, doublings=1))
+                   for src in forms]
+        for r in results:
+            assert isinstance(r, Success)
+            assert abs(r.evidence - 1.0) <= 1e-12
+            assert posterior_mass(r, "true") == 0.4296875
+        assert results[0].posterior.entries == results[1].posterior.entries
+
+    def test_branch_budget(self, monkeypatch):
+        chain = parse("let x = sample(gauss(0.0, 1.0)) in"
+                      " let y = sample(gauss(x, 1.0)) in return(x + y)")
+        qcfg = QuadConfig(nodes=4, doublings=1)
+        assert isinstance(normalize_quadrature(chain, qcfg), Success)
+        # x takes 4 cells; the probes of its first two edges take 4 each
+        monkeypatch.setattr(direct, "ENUM_BUDGET", 10)
+        with pytest.raises(StepBudgetExceeded) as raised:
+            normalize_quadrature(chain, qcfg)
+        assert "_refine" in {entry.name for entry in raised.traceback}
+
+        # a bare site charges its nodes before it builds its grid
+        def no_grid(*args):
+            raise AssertionError("grid built past the budget")
+
+        monkeypatch.setattr(quad, "grid_atoms", no_grid)
+        with pytest.raises(StepBudgetExceeded):
+            normalize_quadrature(parse("sample(gauss(0.0, 1.0))"),
+                                 QuadConfig(nodes=11, doublings=1))
 
     def test_nested_depth_guard(self):
         assert_depth_guard(

@@ -56,7 +56,8 @@ class TestCheck:
             input="(" * 400 + "1.0" + ")" * 400, capture_output=True, text=True,
         )
         assert proc.returncode == 1 and proc.stdout == ""
-        assert json.loads(proc.stderr)["error"] == "RecursionError"
+        err = json.loads(proc.stderr)
+        assert (err["error"], err["line"], err["col"]) == ("syntax", 1, 101)
 
     def test_missing_file_reports_cleanly(self, capsys):
         code, out, err = run_main(capsys, "check", "/no/such/file.sfpc")

@@ -7,14 +7,21 @@ import sys
 
 import pytest
 
-from sfpc.backends import McConfig, exact_table, normalize_exact, normalize_mc
+from sfpc.backends import (
+    McConfig,
+    QuadConfig,
+    exact_table,
+    normalize_exact,
+    normalize_mc,
+    normalize_quadrature,
+)
 from sfpc.direct import DirectEvaluator, SampleSites
 from sfpc.dist import enumerate_dist
 from sfpc.parser import parse
 from sfpc.printer import pretty
 from sfpc.prims import register_default_prims
 from sfpc.rng import substream
-from sfpc.syntax import REAL, Let, Pair, Prim, Return, Sample, Score, Star, Var
+from sfpc.syntax import REAL, Let, Norm, Pair, Prim, Return, Sample, Score, Star, Var
 from sfpc.typecheck import check_program
 
 CHAIN = 10_000
@@ -68,6 +75,18 @@ class TestLongLetSpine:
         assert proc.returncode == 0, proc.stderr
         ty = "real" if spine == "let" else "unit"
         assert json.loads(proc.stdout) == {"mode": "p", "type": ty}
+
+
+@pytest.mark.parametrize("normalize", [
+    normalize_exact,
+    lambda c: normalize_mc(c, McConfig(trials=3, seed=1)),
+    lambda c: normalize_quadrature(c, QuadConfig(nodes=4, doublings=1)),
+], ids=["exact", "mc", "quad"])
+def test_norm_of_a_long_spine(normalize):
+    # the nested site's key holds the free variables of the whole spine
+    t = Let("n", Return(Norm(long_chain(1500))), Return(Var("n")))
+    r = normalize(check_program(t))
+    assert r.tag == 0 and r.evidence == 1.0
 
 
 def counting_registry():

@@ -148,6 +148,15 @@ class TestErrors:
         with pytest.raises(SfpcSyntaxError):
             parse("(0.5, *) : (unit + unit)")
 
+    def test_nesting_limit(self):
+        # the program is level 1, and each parenthesis adds one, up to 100
+        assert parse("(" * 99 + "1.0" + ")" * 99) == parse("1.0")
+        with pytest.raises(SfpcSyntaxError) as err:
+            parse("(" * 400 + "1.0" + ")" * 400)
+        assert (err.value.line, err.value.col) == (1, 101)
+        # a run of prefix minuses parses in a loop
+        assert parse("-" * 5000 + "1.0").fname == "neg"
+
 
 def test_type_rendering_round_trips():
     import numpy as np

@@ -15,7 +15,8 @@ The dump covers:
   the benchmark's own check of each result;
 - every equation verdict at 2,000 trials and seed 1039;
 - a set of CLI runs: enumerate, run with nested norm under each backend,
-  norm with --jobs 1 and 2, and eqcheck.
+  norm with quadrature (16 nodes, 1 doubling) on every continuous corpus
+  program, norm with --jobs 1 and 2, and eqcheck.
 
 It imports sfpc and sfpcbench/workloads.py from CHECKOUT and writes
 nothing but OUT_FILE.
@@ -96,6 +97,9 @@ def dump(root: str) -> list[str]:
         for b in ("exact", "quad", "mc"):
             cli("run", f"{progs}/{name}.sfpc", "--trials", "3", "--backend", b,
                 "--nodes", "32", "--doublings", "1")
+    for name in corpus.CONTINUOUS:
+        cli("norm", f"{progs}/{name}.sfpc", "--backend", "quad", "--nodes", "16",
+            "--doublings", "1")
     cli("norm", f"{progs}/smc_resample_continuous.sfpc", "--backend", "mc",
         "--trials", "5000", "--jobs", "2")
     cli("norm", f"{progs}/resample_two_point.sfpc", "--backend", "mc",
