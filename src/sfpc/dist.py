@@ -411,7 +411,8 @@ def decompose(point, ty: Ty, fresh=None) -> OrderedDecomposition:
 
 
 def rebuild(decomp: OrderedDecomposition):
-    """Inverse of decompose: evaluate the pattern over its slots."""
+    """Inverse of decompose: evaluate the pattern over its slots. Only the
+    tests call it, to check the paper's decomposition of measurable types."""
     env = dict(zip(decomp.names, decomp.slots))
     return value_point(decomp.pattern, env.__getitem__)
 
@@ -438,7 +439,8 @@ def enumerate_patterns(ty: Ty) -> list[tuple[Term, list[Ty]]]:
     """All ordered-value patterns of a measurable type, with slot types.
 
     The patterns partition the space of points: decomposing any point of
-    the type yields exactly one of them.
+    the type yields exactly one of them. Only the tests call it, to check
+    the paper's decomposition of measurable types.
     """
 
     def go(t: Ty, offset: int) -> list[tuple[Term, list[Ty]]]:

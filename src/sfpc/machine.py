@@ -177,7 +177,7 @@ class Machine:
                     return self._apply_prim(term, env)
                 arg2, env2 = self._step_d(arg, env)
                 out = Prim(fname, arg2)
-                out._sig, out._argty = term._sig, term._argty
+                out._sig = term._sig
                 return out, env2
             case Norm():
                 return self._apply_norm(term, env)

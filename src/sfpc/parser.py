@@ -1,4 +1,5 @@
-"""Hand-rolled lexer and recursive-descent parser for the surface syntax.
+"""Regular-expression lexer and recursive-descent parser for the surface
+syntax.
 
 The grammar (EBNF, also reproduced in the README):
 
@@ -25,6 +26,8 @@ The grammar (EBNF, also reproduced in the README):
     atomty   ::= "real" | "unit" | "bool"
                | ("P" | "T" | "D") "(" type ")" | "(" type ")"
 
+The operator rules cmp, add and mul are one table, BINARY_OPS, parsed by
+operator precedence in one loop; the printer reads that table and KWCALLS.
 Multi-argument calls f(a, b, c) pair their arguments to the right, so the
 argument is a single term of product type. A parenthesized tuple with a
 leading natural-number tag and a sum-type ascription, (i, t) : S, is an
@@ -39,8 +42,10 @@ let bound, arm or body, and each type, adds one.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import (
     BOOL,
@@ -98,7 +103,9 @@ _KEYWORDS = {
     "true", "false", "fst", "snd", "real", "unit", "bool",
 }
 
-_KWCALLS = {
+# The keyword calls that build a node of their own class; the printer reads
+# this table backwards.
+KWCALLS = {
     "return": Return,
     "sample": Sample,
     "score": Score,
@@ -107,13 +114,32 @@ _KWCALLS = {
     "thunk": ThunkT,
 }
 
-_PUNCT = ["=>", "->", "==", "(", ")", "{", "}", ",", ";", ":", ".", "|",
-          "=", "+", "-", "*", "/", "<", ">"]
+# Binary operator token -> (primitive, precedence level, whether a chain of
+# them groups to the left; comparisons do not chain). The printer uses the
+# same levels: 0 binder forms, 1 sequencing, then these, 5 application and
+# unary minus, 6 atoms.
+BINARY_OPS = {
+    "<": ("<", 2, False),
+    ">": (">", 2, False),
+    "==": ("eq", 2, False),
+    "+": ("+", 3, True),
+    "-": ("-", 3, True),
+    "*": ("*", 4, True),
+    "/": ("/", 4, True),
+}
+
+# One alternative per token class, tried in order; a comment takes no
+# columns, and any other character is an error.
+_TOKEN_RE = re.compile(
+    r"(?P<nl>\n)|(?P<ws>[ \t\r]+)|(?P<comment>#[^\n]*)"
+    r"|(?P<num>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<lam>[λ\\])|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>=>|->|==|[(){},;:.|=+\-*/<>])|(?P<bad>.)"
+)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'num', 'ident', 'kw', punct text, or 'eof'
+class Token(NamedTuple):
+    kind: str  # 'num', 'ident', 'kw', 'lam', punct text, or 'eof'
     text: str
     line: int
     col: int
@@ -121,71 +147,29 @@ class Token:
 
 def _lex(text: str, origin: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, col = 1, 1
+    for m in _TOKEN_RE.finditer(text):
+        kind, word = m.lastgroup, m.group()
+        if kind == "nl":
+            line, col = line + 1, 1
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "comment":
             continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if "0" <= c <= "9":
-            digit = lambda ch: "0" <= ch <= "9"
-            j = i
-            while j < n and digit(text[j]):
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and digit(text[j + 1]):
-                j += 1
-                while j < n and digit(text[j]):
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and digit(text[k]):
-                    j = k
-                    while j < n and digit(text[j]):
-                        j += 1
-            toks.append(Token("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in ("λ", "\\"):
-            toks.append(Token("lam", c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isascii() and (c.isalpha() or c == "_"):
-            j = i
-            while j < n and text[j].isascii() and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = sys.intern(text[i:j])
-            toks.append(Token("kw" if word in _KEYWORDS else "ident", word, line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token(p, p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise SfpcSyntaxError(f"unexpected character {c!r}", line, col, origin=origin)
+        if kind == "bad":
+            raise SfpcSyntaxError(f"unexpected character {word!r}", line, col, origin=origin)
+        if kind == "word":
+            word = sys.intern(word)
+            kind = "kw" if word in _KEYWORDS else "ident"
+        elif kind == "punct":
+            kind = word
+        if kind != "ws":
+            toks.append(Token(kind, word, line, col))
+        col += len(word)
     toks.append(Token("eof", "", line, col))
     return toks
 
 
-_KWCALL_NAMES = set(_KWCALLS) | {"fst", "snd"}
+_KWCALL_NAMES = set(KWCALLS) | {"fst", "snd"}
 MAX_NESTING = 100  # levels of nested terms and types
 
 
@@ -194,8 +178,11 @@ class _Parser:
         self.toks = toks
         self.pos = 0
         self.origin = origin
-        self.scope: list[str] = []
+        self.scope: dict[str, int] = {}  # open binders of each name
         self.depth = 0
+
+    def bind(self, name: str, count: int = 1) -> None:
+        self.scope[name] = self.scope.get(name, 0) + count
 
     def nest(self) -> None:
         """Enter one more level, or fail at the token that starts it."""
@@ -215,31 +202,36 @@ class _Parser:
         tok = self.peek()
         raise SfpcSyntaxError(message, tok.line, tok.col, expected, self.origin)
 
-    def expect(self, kind: str, expected_desc: str | None = None) -> Token:
+    def unexpected(self, expected: str):
         tok = self.peek()
-        if tok.kind != kind:
-            self.fail(
-                f"unexpected {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
-                expected=(expected_desc or kind,),
-            )
+        what = f"unexpected {tok.text!r}" if tok.kind != "eof" else "unexpected end of input"
+        self.fail(what, expected=(expected,))
+
+    def expect(self, kind: str, expected_desc: str | None = None) -> Token:
+        if self.peek().kind != kind:
+            self.unexpected(expected_desc or kind)
         return self.next()
 
     def expect_kw(self, word: str) -> None:
         tok = self.peek()
         if tok.kind != "kw" or tok.text != word:
-            self.fail(
-                f"unexpected {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
-                expected=(word,),
-            )
+            self.unexpected(word)
         self.next()
+
+    def terms(self) -> list[Term]:
+        """Terms separated by commas."""
+        parts = [self.term()]
+        while self.peek().kind == ",":
+            self.next()
+            parts.append(self.term())
+        return parts
 
     # -- terms ------------------------------------------------------------
 
     def term(self) -> Term:
         """A spine of `let`s and `;`s parses in a loop, however long."""
         self.nest()
-        spine: list[tuple[str, Term]] = []
-        scoped = len(self.scope)
+        spine: list[tuple[str | None, Term]] = []  # None stands for `t;`
         while True:
             tok = self.peek()
             if tok.kind == "kw" and tok.text == "let":
@@ -248,20 +240,21 @@ class _Parser:
                 self.expect("=")
                 bound = self.term()
                 self.expect_kw("in")
-                self.scope.append(name)
+                self.bind(name)
                 spine.append((name, bound))
                 continue
             if tok.kind == "lam" or (tok.kind == "kw" and tok.text in ("case", "if")):
                 t = self.binder(tok)
                 break
-            t = self.cmp()
+            t = self.binary()
             if self.peek().kind != ";":
                 break
             self.next()
-            spine.append(("_", t))
-        del self.scope[scoped:]
+            spine.append((None, t))
         for name, bound in reversed(spine):
-            t = Let(name, bound, t)
+            if name is not None:
+                self.bind(name, -1)
+            t = Let(name or "_", bound, t)
         self.depth -= 1
         return t
 
@@ -292,15 +285,14 @@ class _Parser:
         self.expect(":")
         ann = self.type()
         self.expect(".")
-        self.scope.append(name)
+        self.bind(name)
         body = self.term()
-        self.scope.pop()
+        self.bind(name, -1)
         return Lam(name, ann, body)
 
     def arms(self) -> tuple[Arm, ...]:
         arms = []
         while True:
-            start = self.peek()
             self.expect("(")
             tag_tok = self.expect("num", "arm tag")
             tag = float(tag_tok.text)
@@ -318,37 +310,35 @@ class _Parser:
             var = self.expect("ident", "identifier").text
             self.expect(")")
             self.expect("=>")
-            self.scope.append(var)
+            self.bind(var)
             body = self.term()
-            self.scope.pop()
+            self.bind(var, -1)
             arms.append(Arm(var, body))
             if self.peek().kind != "|":
                 return tuple(arms)
             self.next()
 
-    def cmp(self) -> Term:
-        left = self.add()
-        kind = self.peek().kind
-        if kind in ("<", ">", "=="):
+    def binary(self) -> Term:
+        """Operands joined by BINARY_OPS, in a loop, so that a chain takes
+        one frame. The stack holds each left operand whose operator waits
+        for its right one; an operator first closes those that bind at
+        least as tightly, and a comparison closed by another ends the
+        chain."""
+        stack: list[tuple[Term, str, int, bool]] = []
+        t = self.app()
+        while True:
+            op = BINARY_OPS.get(self.peek().kind)
+            level = -1 if op is None else op[1]
+            while stack and stack[-1][2] >= level:
+                left, prim, top, chains = stack.pop()
+                t = Prim(prim, Pair(left, t))
+                if top == level and not chains:
+                    return t
+            if op is None:
+                return t
             self.next()
-            right = self.add()
-            name = {"<": "<", ">": ">", "==": "eq"}[kind]
-            return Prim(name, Pair(left, right))
-        return left
-
-    def add(self) -> Term:
-        left = self.mul()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            left = Prim(op, Pair(left, self.mul()))
-        return left
-
-    def mul(self) -> Term:
-        left = self.app()
-        while self.peek().kind in ("*", "/"):
-            op = self.next().kind
-            left = Prim(op, Pair(left, self.app()))
-        return left
+            stack.append((t, *op))
+            t = self.app()
 
     def _starts_atom(self) -> bool:
         tok = self.peek()
@@ -395,28 +385,21 @@ class _Parser:
                     return Proj(0, body)
                 if tok.text == "snd":
                     return Proj(1, body)
-                return _KWCALLS[tok.text](body)
+                return KWCALLS[tok.text](body)
             self.fail(f"unexpected keyword {tok.text!r}", expected=("term",))
         if tok.kind == "ident":
             self.next()
             if self.peek().kind == "(":
                 self.next()
-                args = [self.term()]
-                while self.peek().kind == ",":
-                    self.next()
-                    args.append(self.term())
+                arg = _tuple_right(self.terms())
                 self.expect(")")
-                arg = _tuple_right(args)
-                if tok.text in self.scope:
+                if self.scope.get(tok.text):
                     return App(Var(tok.text), arg)
                 return Prim(tok.text, arg)
             return Var(tok.text)
         if tok.kind == "(":
             self.next()
-            parts = [self.term()]
-            while self.peek().kind == ",":
-                self.next()
-                parts.append(self.term())
+            parts = self.terms()
             close = self.peek()
             self.expect(")")
             if self.peek().kind == ":":
@@ -424,10 +407,7 @@ class _Parser:
                 ty = self.type()
                 return self._injection(parts, ty, close)
             return _tuple_right(parts)
-        self.fail(
-            f"unexpected {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
-            expected=("term",),
-        )
+        self.unexpected("term")
 
     def _injection(self, parts: list[Term], ty: Ty, at: Token) -> Term:
         def err(msg: str):
@@ -476,15 +456,9 @@ class _Parser:
 
     def atomty(self) -> Ty:
         tok = self.peek()
-        if tok.kind == "kw" and tok.text == "real":
+        if tok.kind == "kw" and tok.text in ("real", "unit", "bool"):
             self.next()
-            return REAL
-        if tok.kind == "kw" and tok.text == "unit":
-            self.next()
-            return UNIT
-        if tok.kind == "kw" and tok.text == "bool":
-            self.next()
-            return BOOL
+            return {"real": REAL, "unit": UNIT, "bool": BOOL}[tok.text]
         if tok.kind == "ident" and tok.text in ("P", "T", "D"):
             self.next()
             self.expect("(")
@@ -496,10 +470,7 @@ class _Parser:
             inner = self.type()
             self.expect(")")
             return inner
-        self.fail(
-            f"unexpected {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
-            expected=("type",),
-        )
+        self.unexpected("type")
 
 
 def _tuple_right(parts: list[Term]) -> Term:

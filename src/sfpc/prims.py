@@ -71,17 +71,6 @@ class PrimRegistry:
             return Sig(UNIT, REAL, lambda _p, _v=value: _v)
         return None
 
-    def lookup(self, name: str) -> Sig | None:
-        """Primary signature of a named primitive, if any."""
-        sigs = self._table.get(name)
-        return sigs[0] if sigs else None
-
-    def names(self) -> list[str]:
-        return sorted(set(self._table) | set(self._generic))
-
-    def signatures(self, name: str) -> list[Sig]:
-        return list(self._table.get(name, ()))
-
 
 # ---------------------------------------------------------------------------
 # Default primitive set

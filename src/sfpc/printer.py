@@ -2,45 +2,29 @@
 
 from __future__ import annotations
 
+from .parser import BINARY_OPS, KWCALLS
 from .prims import is_literal_name
 from .syntax import (
     BOOL,
     App,
     CaseD,
     CaseP,
-    Force,
     Inj,
     Lam,
     Let,
-    Norm,
     Pair,
     Prim,
     Proj,
-    Return,
-    Sample,
-    Score,
     Star,
     Term,
-    ThunkT,
     Var,
     free_vars,
     ty_str,
 )
 
-# Precedence levels: 0 binder forms, 1 sequencing, 2 comparisons,
-# 3 additive, 4 multiplicative, 5 application and unary minus, 6 atoms.
-
-_CMP_NAMES = {"<": "<", ">": ">", "eq": "=="}
-_ADD_NAMES = {"+", "-"}
-_MUL_NAMES = {"*", "/"}
-_KW_FORMS = {
-    Return: "return",
-    Sample: "sample",
-    Score: "score",
-    Norm: "norm",
-    Force: "force",
-    ThunkT: "thunk",
-}
+# Precedence levels are the parser's (see parser.BINARY_OPS).
+_OPS = {prim: (tok, level, chains) for tok, (prim, level, chains) in BINARY_OPS.items()}
+_KW_FORMS = {cls: kw for kw, cls in KWCALLS.items()}
 
 
 def pretty(t: Term) -> str:
@@ -80,15 +64,10 @@ def _pp(t: Term, minimum: int) -> str:
             return f"({tag}, {inner}) : {ty_str(ty)}"
         case Prim("neg", arg):
             return _paren(f"-{_pp(arg, 6)}", 5, minimum)
-        case Prim(fname, Pair() as arg) if fname in _CMP_NAMES:
-            s = f"{_pp(arg.left, 3)} {_CMP_NAMES[fname]} {_pp(arg.right, 3)}"
-            return _paren(s, 2, minimum)
-        case Prim(fname, Pair() as arg) if fname in _ADD_NAMES:
-            s = f"{_pp(arg.left, 3)} {fname} {_pp(arg.right, 4)}"
-            return _paren(s, 3, minimum)
-        case Prim(fname, Pair() as arg) if fname in _MUL_NAMES:
-            s = f"{_pp(arg.left, 4)} {fname} {_pp(arg.right, 5)}"
-            return _paren(s, 4, minimum)
+        case Prim(fname, Pair() as arg) if fname in _OPS:
+            tok, level, chains = _OPS[fname]
+            left = _pp(arg.left, level if chains else level + 1)
+            return _paren(f"{left} {tok} {_pp(arg.right, level + 1)}", level, minimum)
         case Prim(fname, Star()) if is_literal_name(fname):
             return fname
         case Prim(fname, arg):

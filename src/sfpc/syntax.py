@@ -20,36 +20,29 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class Ty:
-    pass
+    def __str__(self) -> str:
+        return ty_str(self)
 
 
 @dataclass(frozen=True)
 class RealTy(Ty):
-    def __str__(self) -> str:
-        return "real"
+    pass
 
 
 @dataclass(frozen=True)
 class UnitTy(Ty):
-    def __str__(self) -> str:
-        return "unit"
+    pass
 
 
 @dataclass(frozen=True)
 class ProbTy(Ty):
     inner: Ty
 
-    def __str__(self) -> str:
-        return f"P({self.inner})"
-
 
 @dataclass(frozen=True)
 class ProdTy(Ty):
     left: Ty
     right: Ty
-
-    def __str__(self) -> str:
-        return ty_str(self)
 
 
 @dataclass(frozen=True)
@@ -60,33 +53,21 @@ class SumTy(Ty):
         if not self.arms:
             raise ValueError("sum type needs at least one arm")
 
-    def __str__(self) -> str:
-        return ty_str(self)
-
 
 @dataclass(frozen=True)
 class FunTy(Ty):
     dom: Ty
     cod: Ty
 
-    def __str__(self) -> str:
-        return ty_str(self)
-
 
 @dataclass(frozen=True)
 class ThunkTy(Ty):
     inner: Ty
 
-    def __str__(self) -> str:
-        return f"T({self.inner})"
-
 
 @dataclass(frozen=True)
 class DensTy(Ty):
     base: Ty
-
-    def __str__(self) -> str:
-        return f"D({self.base})"
 
 
 REAL = RealTy()
@@ -196,9 +177,9 @@ def validate_ty(ty: Ty) -> None:
 # ---------------------------------------------------------------------------
 # Terms
 #
-# Prim nodes carry a resolution cache (_sig, _argty) filled in by the
-# typechecker; it is excluded from equality and safe to copy under
-# substitution because substitution preserves the argument type.
+# Prim nodes carry a resolution cache (_sig) filled in by the typechecker;
+# it is excluded from equality and safe to copy under substitution because
+# substitution preserves the argument type.
 
 
 @dataclass(eq=True)
@@ -258,7 +239,6 @@ class Prim(Term):
     fname: str
     arg: Term
     _sig: object = field(default=None, compare=False, repr=False)
-    _argty: Ty | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(eq=True)
@@ -417,7 +397,7 @@ def _subst(t: Term, x: str, v: Term, fv_v: frozenset[str]) -> Term:
             return Inj(tag, _subst(body, x, v, fv_v), ty)
         case Prim(fname, arg):
             out = Prim(fname, _subst(arg, x, v, fv_v))
-            out._sig, out._argty = t._sig, t._argty
+            out._sig = t._sig
             return out
         case Norm(body):
             out = Norm(_subst(body, x, v, fv_v))

@@ -53,17 +53,29 @@ class TypeCheckError(Exception):
         super().__init__(f"{reason}" + (f" (at {location})" if location else ""))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class TyCtx:
+    """A typing context. TyCtx(entries) holds its bindings innermost last;
+    extend links one binding (name, ty) to the outer context instead of
+    copying it, so a let spine checks in linear time."""
+
     entries: tuple[tuple[str, Ty], ...] = ()
+    name: str | None = None
+    ty: Ty | None = None
+    outer: "TyCtx | None" = None
 
     def extend(self, name: str, ty: Ty) -> "TyCtx":
-        return TyCtx(self.entries + ((name, ty),))
+        return TyCtx((), name, ty, self)
 
     def lookup(self, name: str) -> Ty | None:
-        for n, ty in reversed(self.entries):
-            if n == name:
-                return ty
+        ctx = self
+        while ctx is not None:
+            if ctx.name == name:
+                return ctx.ty
+            for n, ty in reversed(ctx.entries):
+                if n == name:
+                    return ty
+            ctx = ctx.outer
         return None
 
 
@@ -139,7 +151,7 @@ def infer(mode: str, ctx: TyCtx, t: Term, registry: PrimRegistry = DEFAULT_REGIS
                 raise TypeCheckError(
                     f"no primitive {fname} at argument type {argty}", _loc(t)
                 )
-            t._sig, t._argty = sig, argty
+            t._sig = sig
             return sig.cod
         case Norm(body):
             inner = infer("p", ctx, body, registry)

@@ -196,6 +196,18 @@ class TestQuadrature:
             normalize_quadrature(parse("sample(gauss(0.0, 1.0))"),
                                  QuadConfig(nodes=11, doublings=1))
 
+    def test_refines_where_the_inner_split_jumps(self):
+        # y's event switches at x = 0.1 between two of the same shape, so
+        # only the split of y's mass between them shows where to refine x
+        r = normalize_quadrature(
+            parse("let x = sample(gauss(0.0, 1.0)) in let y = sample(gauss(0.0, 1.0)) in"
+                  " return(if x < 0.1 then y < 0.0 else y < 1.0)"),
+            QuadConfig(nodes=8, doublings=1),
+        )
+        phi = lambda z: 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+        truth = phi(0.1) / 2 + (1.0 - phi(0.1)) * phi(1.0)
+        assert abs(posterior_mass(r, "true") - truth) <= 1e-4
+
     def test_nested_depth_guard(self):
         assert_depth_guard(
             lambda prog: normalize_quadrature(prog, QuadConfig(nodes=4, doublings=1))

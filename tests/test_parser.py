@@ -9,6 +9,7 @@ from sfpc.parser import SfpcSyntaxError, SourceProgram, parse
 from sfpc.printer import pretty
 from sfpc.syntax import (
     BOOL,
+    App,
     CaseP,
     Inj,
     Lam,
@@ -66,9 +67,15 @@ class TestParseExamples:
     def test_call_on_bound_name_is_application(self):
         t = parse("let f = return(\\x : real. x) in return(f(1.0))")
         inner = t.body.body
-        from sfpc.syntax import App
-
         assert isinstance(inner, App)
+
+    def test_call_on_shadowed_name(self):
+        # the inner binder of g closes before the outer call
+        t = parse("\\g : real -> real. (\\g : real -> real. g(1.0)) (g) + g(2.0)")
+        assert isinstance(t.body.arg.right, App)
+        # with no outer binder, g(2.0) is a primitive call
+        t = parse("(\\g : real -> real. g(1.0)) (\\x : real. x) + g(2.0)")
+        assert t.arg.right == Prim("g", Prim("2.0", Star()))
 
     def test_comments_ignored(self):
         t = parse("# leading comment\nreturn(*) # trailing\n")
@@ -130,6 +137,11 @@ class TestErrors:
         with pytest.raises(SfpcSyntaxError) as err:
             parse("return(@)")
         assert err.value.col == 8
+
+    def test_comment_takes_no_columns(self):
+        with pytest.raises(SfpcSyntaxError) as err:
+            parse("return(1.0 # c")
+        assert (err.value.line, err.value.col) == (1, 12)
 
     def test_trailing_input(self):
         with pytest.raises(SfpcSyntaxError):

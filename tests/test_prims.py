@@ -28,16 +28,18 @@ RR = ProdTy(REAL, REAL)
 
 class TestRegistry:
     def test_gauss_signature(self):
-        sig = REG.lookup("gauss")
+        sig = REG.resolve("gauss", RR)
         assert sig.dom == RR and sig.cod == ProbTy(REAL)
 
     def test_core_names_present(self):
-        for name in ["+", "-", "*", "/", "exp", "log", "<", ">",
-                     "gauss", "bern", "expdist", "beta", "uniform",
-                     "density_gauss", "density_exp", "density_beta"]:
-            assert REG.lookup(name) is not None, name
-        for name in ["eq", "dirac", "ev", "dist"]:
-            assert name in REG.names()
+        for name, dom in [("+", RR), ("-", RR), ("*", RR), ("/", RR),
+                          ("exp", REAL), ("log", REAL), ("<", RR), (">", RR),
+                          ("gauss", RR), ("bern", REAL), ("expdist", REAL),
+                          ("beta", RR), ("uniform", RR), ("density_gauss", RR),
+                          ("density_exp", REAL), ("density_beta", RR),
+                          ("eq", ProdTy(BOOL, BOOL)), ("dirac", REAL),
+                          ("ev", ProdTy(DensTy(REAL), REAL)), ("dist", DensTy(REAL))]:
+            assert REG.resolve(name, dom) is not None, name
 
     def test_literal_resolution(self):
         sig = REG.resolve("42.7", UNIT)
@@ -61,7 +63,7 @@ class TestRegistry:
 
     def test_fresh_registry_independent(self):
         reg = register_default_prims()
-        assert reg is not REG and reg.lookup("gauss") is not None
+        assert reg is not REG and reg.resolve("gauss", RR) is not None
 
 
 class TestWorkedValues:
@@ -71,7 +73,7 @@ class TestWorkedValues:
         assert got == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-12)
 
     def test_degenerate_gauss_params_match_unit_sigma(self):
-        sig = REG.lookup("gauss")
+        sig = REG.resolve("gauss", RR)
         assert sig.fn((0.0, 0.0)) == sig.fn((0.0, 1.0)) == gauss(0.0, 1.0)
 
     def test_density_exp_at_zero_is_rate(self):
@@ -134,8 +136,8 @@ def test_totality_fuzz_over_domains():
     """Every monomorphic primitive maps fuzzed domain points into its
     declared codomain without raising."""
     rng = np.random.default_rng(11)
-    for name in REG.names():
-        for sig in REG.signatures(name):
+    for name in sorted(REG._table):
+        for sig in REG._table[name]:
             for point in _domain_points(rng, sig.dom, 80):
                 out = sig.fn(point)
                 assert _typed(out, sig.cod), (name, point, out)
@@ -146,7 +148,7 @@ def test_totality_extreme_parameters():
     extremes = [0.0, -1.0, math.inf, -math.inf, math.nan, 1e308, -1e308]
     for kind, arity in [("gauss", 2), ("bern", 1), ("expdist", 1),
                         ("beta", 2), ("uniform", 2)]:
-        sig = REG.lookup(kind)
+        sig = REG.resolve(kind, RR if arity == 2 else REAL)
         for a in extremes:
             for b in extremes:
                 point = (a, b) if arity == 2 else a

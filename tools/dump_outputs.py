@@ -16,15 +16,20 @@ The dump covers:
 - every equation verdict at 2,000 trials and seed 1039;
 - a set of CLI runs: enumerate, run with nested norm under each backend,
   norm with quadrature (16 nodes, 1 doubling) on every continuous corpus
-  program, norm with --jobs 1 and 2, and eqcheck.
+  program, norm with --jobs 1 and 2, and eqcheck;
+- the front end: pretty of every corpus program and of
+  tests/genprog.random_program at seeds 0..499 and fuel 2 to 4, and the
+  parse outcome (a term, or an error with its line, column and expected
+  set) of 3,000 seeded mutations of the corpus texts.
 
-It imports sfpc and sfpcbench/workloads.py from CHECKOUT and writes
-nothing but OUT_FILE.
+It imports sfpc, sfpcbench/workloads.py and tests/genprog.py from
+CHECKOUT and writes nothing but OUT_FILE.
 """
 
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 
@@ -105,6 +110,38 @@ def dump(root: str) -> list[str]:
     cli("norm", f"{progs}/resample_two_point.sfpc", "--backend", "mc",
         "--trials", "5000", "--jobs", "1")
     cli("eqcheck", "--trials", "1000", "--seed", "3", "--jobs", "2")
+    return lines + front_end(root)
+
+
+def front_end(root: str) -> list[str]:
+    """Printed programs and parse outcomes, for refactors of the front end."""
+    sys.path.insert(0, os.path.join(root, "tests"))
+    from sfpc import corpus
+    from sfpc.parser import SfpcSyntaxError, parse
+    from sfpc.printer import pretty
+
+    import genprog
+
+    lines = [f"pretty/{name}: {pretty(corpus.program(name))}" for name in corpus.ALL]
+    for seed in range(500):
+        for fuel in (2, 3, 4):
+            lines.append(f"pretty/{seed}/{fuel}: {pretty(genprog.random_program(seed, fuel))}")
+    texts = [corpus.source(name) for name in sorted(corpus.ALL)]
+    pieces = "let in case of if then else ( ) { } , ; : . | => -> == = + - * / < > x f 1.0 # @ \n".split(" ")
+    rng = random.Random(18)
+    for i in range(3000):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(text) + 1)
+            if rng.random() < 0.5:
+                text = text[:k] + text[k + rng.randint(1, 6):]
+            else:
+                text = text[:k] + rng.choice(pieces) + text[k:]
+        try:
+            outcome = repr(parse(text))
+        except SfpcSyntaxError as e:
+            outcome = f"error {e.line}:{e.col} {e.message!r} {e.expected!r}"
+        lines.append(f"parse/{i}: {outcome}")
     return lines
 
 
